@@ -208,9 +208,15 @@ def cmd_verify(args) -> int:
     return _status_exit(rep.status)
 
 
+def _parse_kinds(text: str) -> list[ThresholdKind]:
+    """'all' or a comma-separated list of ThresholdKind values."""
+    if text == "all":
+        return list(ThresholdKind)
+    return [ThresholdKind(k) for k in text.split(",")]
+
+
 def cmd_thresholds(args) -> int:
-    kinds = ([ThresholdKind(k) for k in args.kinds.split(",")]
-             if args.kinds != "all" else list(ThresholdKind))
+    kinds = _parse_kinds(args.kinds)
     mu_grid = [float(m) for m in args.mu_grid.split(",")]
     rows = []
     for kind in kinds:
@@ -224,11 +230,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    kinds = ([ThresholdKind(k) for k in args.kinds.split(",")]
-             if args.kinds == "all" or args.kinds is None
-             else [ThresholdKind(k) for k in args.kinds.split(",")])
-    if args.kinds == "all":
-        kinds = list(ThresholdKind)
+    kinds = _parse_kinds(args.kinds)
     mu_grid = [float(m) for m in args.mu_grid.split(",")]
     grid = _grid_from_flags(args)
     records = sweep(kinds, mu_grid, probe=args.probe, r_hi=args.r_hi,

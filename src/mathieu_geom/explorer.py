@@ -21,7 +21,7 @@ from .criteria import (
     check_ozaki,
 )
 from .diskcheck import DiskGrid, Functional, verify_functional
-from .params import CoherenceError, ConfigurationError, ParamSet
+from .params import CoherenceError, ConfigurationError, MathieuGeomError, ParamSet
 from .series import CoefficientSeq, Family
 from .thresholds import ThresholdKind, threshold
 
@@ -137,8 +137,9 @@ def sweep(
 ) -> list[ThresholdRecord]:
     """One ThresholdRecord per (kind, mu); row order is (kind, mu asc).
 
-    Per-row errors (e.g. mu below a hypothesis minimum) do not abort the
-    sweep; the row is marked errored with NaN radii.
+    Per-row package errors (e.g. mu below a hypothesis minimum) do not
+    abort the sweep; the row is marked errored with NaN radii.  Any other
+    exception is a bug and propagates.
     """
     kinds = [ThresholdKind(k) for k in kinds]
     mu_grid = sorted(float(m) for m in mu_grid)
@@ -151,7 +152,7 @@ def sweep(
                 records.append(
                     bisect_failure_r(kind, mu, probe, r_hi, tol, n_terms, grid)
                 )
-            except Exception as exc:  # row-local: mark and continue
+            except MathieuGeomError as exc:  # row-local: mark and continue
                 records.append(ThresholdRecord(
                     kind, mu, math.nan, math.nan, math.nan, probe,
                     f"error: {exc}",

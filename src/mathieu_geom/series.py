@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .params import (
     EvalDomainError,
@@ -300,6 +299,9 @@ def eval_S_integral(r: float, tol: float = 1e-10) -> float:
         raise ParameterDomainError(f"r must be > 0, got {r}")
     if tol <= 0:
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
+    # Imported here, not at module top: scipy.integrate takes longer to
+    # import than the rest of the package, and this is its only caller.
+    from scipy import integrate
 
     big_t = max(50.0, 40.0 / r)
     while 2.0 * (big_t + 1.0) * math.exp(-big_t) >= tol / 2:

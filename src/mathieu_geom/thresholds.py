@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .criteria import CriterionReport, Status
 from .params import (
@@ -424,9 +423,12 @@ INEQUALITY_CASES = {
 def _unit_samples(case: InequalityCase, n_interior: int, seed: int) -> np.ndarray:
     """Stratified samples in the unit cube: corners, boundary faces with
     Sobol fill, and Sobol interior."""
+    # Imported here, not at module top: scipy.stats takes longer to import
+    # than the rest of the package, and the ledger sampler is its only caller.
+    from scipy.stats import qmc
+
     d = len(case.dims)
-    rows = [np.array(corner, dtype=float)
-            for corner in itertools.product((0.0, 1.0), repeat=d)]
+    blocks = [np.array(list(itertools.product((0.0, 1.0), repeat=d)))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sobol = qmc.Sobol(d, scramble=True, seed=seed)
@@ -436,9 +438,9 @@ def _unit_samples(case: InequalityCase, n_interior: int, seed: int) -> np.ndarra
                 if n_face:
                     pts = sobol.random(n_face)
                     pts[:, k] = bound
-                    rows.extend(pts)
-        rows.extend(sobol.random(n_interior))
-    return np.asarray(rows)
+                    blocks.append(pts)
+        blocks.append(sobol.random(n_interior))
+    return np.vstack(blocks)
 
 
 def _scale(case: InequalityCase, unit: np.ndarray) -> np.ndarray:

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mathieu_geom
 from mathieu_geom.cli import main, parse_complex, theorem_matrix
 
 
@@ -138,6 +144,12 @@ class TestThresholdsAndSweep:
         assert lines[0] == "kind,mu,sufficient_r,empirical_r,gap,probe,status"
         assert len(lines) == 5
 
+    def test_sweep_default_kinds_all(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--kinds", "all", "--mu-grid", "1",
+                           "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)) == 8
+
     def test_examples(self, capsys):
         code, out, _ = run(capsys, "examples", "--format", "json")
         assert code == 0
@@ -168,3 +180,48 @@ class TestTheorems:
                            "--level", "sequence")
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The `mathieu-geom ...` lines of the README's sh blocks, as argv
+    lists without the program name."""
+    cmds, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line.strip() == "```sh"
+            continue
+        if in_sh and line.startswith("mathieu-geom "):
+            cmds.append(shlex.split(line, comments=True)[1:])
+    return cmds
+
+
+class TestReadme:
+    def test_commands_found(self):
+        # an empty list would silently parametrize the next test away
+        assert readme_commands()
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_documented_command_is_not_a_usage_error(self, argv, capsys,
+                                                     tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # `--out sweep.csv` writes here
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects unknown flags this way
+            code = exc.code
+        capsys.readouterr()
+        assert code != 2
+
+
+class TestColdImport:
+    def test_package_and_cli_import_no_scipy(self):
+        src = str(Path(mathieu_geom.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, mathieu_geom, mathieu_geom.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

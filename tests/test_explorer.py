@@ -87,6 +87,15 @@ class TestSweep:
         assert math.isnan(records[0].empirical_r)
         assert records[1].status in ("ok", "no_failure_found")
 
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        # a bug inside a row is not a row-local error: it must abort the sweep
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr("mathieu_geom.explorer.bisect_failure_r", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            sweep([ThresholdKind.F_STARLIKE], [1.0])
+
     def test_csv_determinism(self):
         a = records_to_csv(sweep(self.KINDS, self.MU))
         b = records_to_csv(sweep(self.KINDS, self.MU))

@@ -1,10 +1,13 @@
 """Sufficient radii, digamma/trigamma, auxiliary convexity functions,
 and the inequality ledger."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from mathieu_geom.criteria import Status
 from mathieu_geom.params import (
@@ -28,6 +31,7 @@ from mathieu_geom.thresholds import (
     psi_bounds_check,
     threshold,
     trigamma,
+    _unit_samples,
     trigamma_bound_check,
     verify_inequality,
 )
@@ -259,6 +263,34 @@ class TestInequalityLedger:
         rep = verify_inequality(bad, samples=10**3)
         assert rep.status is Status.FALSIFIED
         assert rep.min_margin < 0
+
+    @staticmethod
+    def _list_built_samples(case, n_interior, seed):
+        # reference: the sampler built row by row in a Python list
+        d = len(case.dims)
+        rows = [np.array(corner, dtype=float)
+                for corner in itertools.product((0.0, 1.0), repeat=d)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sobol = qmc.Sobol(d, scramble=True, seed=seed)
+            n_face = max(1, n_interior // (8 * d)) if d > 1 else 0
+            for k in range(d):
+                for bound in (0.0, 1.0):
+                    if n_face:
+                        pts = sobol.random(n_face)
+                        pts[:, k] = bound
+                        rows.extend(pts)
+            rows.extend(sobol.random(n_interior))
+        return np.asarray(rows)
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
+    @pytest.mark.parametrize("samples,seed", [(1000, 0), (1500, 7), (4096, 123)])
+    def test_unit_samples_match_list_built_reference(self, case_id, samples, seed):
+        case = INEQUALITY_CASES[case_id]
+        got = _unit_samples(case, samples, seed)
+        want = self._list_built_samples(case, samples, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_configuration_errors(self):
         from mathieu_geom.params import ConfigurationError
