@@ -24,7 +24,7 @@ from .diskcheck import (
     dump_grid_csv,
     verify_functional,
 )
-from .explorer import records_to_csv, records_to_json, sweep
+from .explorer import records_to_csv, records_to_json, sweep, theorem_matrix
 from .params import MathieuGeomError, ParamSet
 from .series import (
     CoefficientSeq,
@@ -264,27 +264,6 @@ def cmd_examples(args) -> int:
     return 0 if all_ok else 1
 
 
-def theorem_matrix(mu_grid, n_terms=200, grid=None, levels=("sequence", "disk")):
-    """Rows of the acceptance matrix: each (kind, mu) at r = 0.99 *
-    threshold, checked at the sequence and/or disk level."""
-    from .explorer import probe_passes
-
-    grid = grid or DiskGrid()
-    rows = []
-    for kind in ThresholdKind:
-        for mu in mu_grid:
-            if mu < MU_MIN.get(kind, 0.0):
-                continue
-            r = 0.99 * threshold(kind, mu)
-            row = {"kind": kind.value, "mu": mu, "r": r}
-            for level in levels:
-                row[level] = probe_passes(kind, mu, r, probe=level,
-                                          n_terms=n_terms, grid=grid)
-            row["pass"] = all(row[level] for level in levels)
-            rows.append(row)
-    return rows
-
-
 def cmd_theorems(args) -> int:
     mu_grid = [float(m) for m in args.mu_grid.split(",")]
     levels = ("sequence", "disk") if args.level == "both" else (args.level,)
@@ -365,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-hi", type=float)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--terms", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out")
     _add_grid_flags(p)

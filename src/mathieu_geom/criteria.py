@@ -27,7 +27,7 @@ from .params import (
     ParameterDomainError,
     comparison_slack,
 )
-from .series import CoefficientSeq
+from .series import CoefficientSeq, Family
 
 DEFAULT_TERMS = 200
 _UNDERFLOW = 1e-280
@@ -78,48 +78,40 @@ def _require_normalized(vals: np.ndarray) -> None:
         raise NormalizationError(f"sequence is not normalized: a_1 = {vals[0]}")
 
 
-def _chain_nonincreasing(vals: np.ndarray, logs: Optional[np.ndarray] = None):
-    """Scan vals[k] >= vals[k+1] for all k; return (min_margin, witness).
+def _chain_scan(lhs: np.ndarray, rhs: np.ndarray,
+                lhs_log: Optional[np.ndarray] = None,
+                rhs_log: Optional[np.ndarray] = None):
+    """Scan lhs[k] >= rhs[k] for all k; return (min_margin, witness).
 
-    witness is the worst slack-exceeding violation, or None.  When both
-    neighbours are below the underflow threshold the order of the log
-    magnitudes decides (their linear margin is an uninformative 0.0).
+    A chain on one sequence is scanned through shifted views of it:
+    (v[:-1], v[1:]) for non-increasing, (v[1:], v[:-1]) for
+    non-decreasing.  witness is the first of the worst slack-exceeding
+    violations, or None.  Where both sides are below the underflow
+    threshold the order of the log magnitudes decides (their linear
+    margin is an uninformative 0.0), and a violation there has margin
+    -exp(rhs_log).
     """
-    min_margin = math.inf
-    witness = None
-    worst = 0.0
-    for k in range(len(vals) - 1):
-        lhs, rhs = float(vals[k]), float(vals[k + 1])
-        margin = lhs - rhs
-        violated = margin < -comparison_slack(lhs, rhs)
-        if logs is not None and lhs < _UNDERFLOW and rhs < _UNDERFLOW:
-            # both underflowed: order by log magnitude
-            violated = logs[k + 1] > logs[k] + 1e-9
-            margin = 0.0 if not violated else -math.exp(logs[k + 1])
-        min_margin = min(min_margin, margin)
-        if violated and margin < worst:
-            worst = margin
-            witness = Witness(k + 1, lhs, rhs)
-    return min_margin, witness
+    margin = lhs - rhs
+    slack = 1e-12 * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))  # comparison_slack
+    violated = margin < -slack
+    if lhs_log is not None:
+        under = (lhs < _UNDERFLOW) & (rhs < _UNDERFLOW)
+        log_violated = rhs_log > lhs_log + 1e-9
+        violated = np.where(under, log_violated, violated)
+        margin = np.where(under, 0.0, margin)
+        hit = np.flatnonzero(under & log_violated)
+        margin[hit] = [-math.exp(x) for x in rhs_log[hit]]
 
-
-def _chain_nondecreasing(vals: np.ndarray, logs: Optional[np.ndarray] = None):
-    """Scan vals[k] <= vals[k+1] for all k; return (min_margin, witness)."""
-    min_margin = math.inf
-    witness = None
-    worst = 0.0
-    for k in range(len(vals) - 1):
-        lhs, rhs = float(vals[k + 1]), float(vals[k])
-        margin = lhs - rhs
-        violated = margin < -comparison_slack(lhs, rhs)
-        if logs is not None and lhs < _UNDERFLOW and rhs < _UNDERFLOW:
-            violated = logs[k] > logs[k + 1] + 1e-9
-            margin = 0.0 if not violated else -math.exp(logs[k])
-        min_margin = min(min_margin, margin)
-        if violated and margin < worst:
-            worst = margin
-            witness = Witness(k + 1, lhs, rhs)
-    return min_margin, witness
+    # min_margin as a running min() would give it: NaNs never win, and
+    # of equal minima (0.0 and -0.0) the first one is kept.
+    comparable = margin[~np.isnan(margin)]
+    min_margin = (float(comparable[np.argmax(comparable == comparable.min())])
+                  if comparable.size else math.inf)
+    worst = np.flatnonzero(violated & (margin < 0.0))
+    if not worst.size:
+        return min_margin, None
+    k = int(worst[np.argmin(margin[worst])])
+    return min_margin, Witness(k + 1, float(lhs[k]), float(rhs[k]))
 
 
 def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
@@ -137,7 +129,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
     t = n * vals  # t_1 = 1 by normalization
 
     # decreasing branch: t non-increasing and t_N >= 0
-    dec_margin, dec_witness = _chain_nonincreasing(t, logs)
+    dec_margin, dec_witness = _chain_scan(t[:-1], t[1:], logs[:-1], logs[1:])
     last = float(t[-1])
     if last < -comparison_slack(last, 0.0):
         dec_margin = min(dec_margin, last)
@@ -152,7 +144,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
         )
 
     # increasing branch: t non-decreasing and t_n <= 2
-    inc_margin, inc_witness = _chain_nondecreasing(t, logs)
+    inc_margin, inc_witness = _chain_scan(t[1:], t[:-1], logs[1:], logs[:-1])
     cap_margin = float(np.min(2.0 - t))
     inc_ok = inc_witness is None and cap_margin >= -comparison_slack(2.0, float(np.max(t)))
     inc_margin = min(inc_margin, cap_margin)
@@ -185,9 +177,9 @@ def check_fejer_starlike(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> Cri
     logs = c.log_values(n_terms) + np.log(n)
     t = n * vals
 
-    m1, w1 = _chain_nonincreasing(t, logs)
+    m1, w1 = _chain_scan(t[:-1], t[1:], logs[:-1], logs[1:])
     d = t[:-1] - t[1:]
-    m2, w2 = _chain_nonincreasing(d)
+    m2, w2 = _chain_scan(d[:-1], d[1:])
     min_margin = min(m1, m2)
     witness = w1 or w2
     status = Status.VERIFIED if witness is None else Status.FALSIFIED
@@ -225,7 +217,7 @@ def check_fejer_halfplane(
         k = int(np.argmin(vals))
         neg_witness = Witness(k + 1, float(vals[k]), 0.0)
 
-    m1, w1 = _chain_nonincreasing(vals, logs)
+    m1, w1 = _chain_scan(vals[:-1], vals[1:], logs[:-1], logs[1:])
     second_diff = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     conv_margin = float(np.min(second_diff))
     conv_witness = None
@@ -246,8 +238,6 @@ def check_fejer_halfplane(
 
 def _goodman_tail(c: CoefficientSeq, n_terms: int, weighted: np.ndarray):
     """Rigorous majorant for sum_{n > N} n a_n, or None if unavailable."""
-    from .series import Family
-
     big_n = float(n_terms)
     if c.family is Family.SHAT:
         # sum_{n>N} 8n/(n^2+1)^3 <= int_N^inf 8x/(x^2+1)^3 dx

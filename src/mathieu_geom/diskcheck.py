@@ -26,14 +26,16 @@ from .params import (
     ConfigurationError,
     DegeneratePointError,
     ParamSet,
-    ParameterDomainError,
-    TruncationError,
 )
-from .series import CoefficientSeq, Family, SequenceBase
+from .series import CoefficientSeq, Family, SequenceBase, truncated_coeffs
 
 DEFAULT_TOLERANCE = 1e-9
 _SERIES_TAIL_TOL = 1e-12
-_COEFF_CAP = 200_000
+# The first block end of truncated_coeffs at or past 200_000: 16128 terms
+# in the doubling blocks 256..8192, then 12 blocks of 16384.  The disk
+# check once cut its last block only there, and series near |z| = 1 that
+# it answered need the terms past 200_000.
+_COEFF_CAP = 212_736
 
 
 class Functional(str, enum.Enum):
@@ -106,37 +108,6 @@ def as_sequence(family: Union[SequenceBase, Family, str], p: Optional[ParamSet] 
     return CoefficientSeq(fam)
 
 
-def _truncated_coeffs(seq: SequenceBase, rho: float, index_weighted: bool,
-                      tol: float = _SERIES_TAIL_TOL) -> np.ndarray:
-    """Coefficients c_n of sum c_n z^(n-1) (c_n = a_n or n a_n), cut where
-    the geometric tail majorant at |z| = rho drops below tol."""
-    n_done = 0
-    block = 256
-    chunks = []
-    prev_last = math.inf
-    monotone_run = 0
-    while n_done < _COEFF_CAP:
-        idx = np.arange(n_done + 1, n_done + block + 1)
-        vals = seq.values_at(idx)
-        if index_weighted:
-            vals = idx * vals
-        chunks.append(vals)
-        n_done += block
-        if np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last:
-            monotone_run += block
-        else:
-            monotone_run = 0
-        prev_last = float(vals[-1])
-        if monotone_run >= 3:
-            bound = prev_last * rho**n_done / (1.0 - rho)
-            if bound < tol:
-                return np.concatenate(chunks)
-        block = min(2 * block, 16384)
-    raise TruncationError(
-        f"series tail below {tol} not reached within {_COEFF_CAP} terms at |z|={rho}"
-    )
-
-
 def _grid_eval(coeffs: np.ndarray, grid: DiskGrid) -> np.ndarray:
     """Evaluate sum_n c_n z^(n-1) on the whole lattice.
 
@@ -172,7 +143,7 @@ def _functional_on_grid(functional: Functional, seq: SequenceBase, grid: DiskGri
     same functional at arbitrary z)."""
     rho = grid.max_radius
     if functional is Functional.RATIO_HALFPLANE:
-        c = _truncated_coeffs(seq, rho, index_weighted=False)
+        c, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP)
         vals = _grid_eval(c, grid).real
 
         def at(z):
@@ -181,7 +152,7 @@ def _functional_on_grid(functional: Functional, seq: SequenceBase, grid: DiskGri
         return vals, at
 
     if functional in (Functional.DERIV_HALFPLANE, Functional.CLOSE_TO_CONVEX):
-        c = _truncated_coeffs(seq, rho, index_weighted=True)
+        c, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, index_weighted=True)
         deriv = _grid_eval(c, grid)
         if functional is Functional.DERIV_HALFPLANE:
             vals = deriv.real
@@ -199,8 +170,8 @@ def _functional_on_grid(functional: Functional, seq: SequenceBase, grid: DiskGri
         return vals, at
 
     # Starlike: Re(z f'/f) = Re(D/P) with D = sum n a_n z^(n-1), P = f/z
-    cp = _truncated_coeffs(seq, rho, index_weighted=False)
-    cd = _truncated_coeffs(seq, rho, index_weighted=True)
+    cp, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP)
+    cd, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, index_weighted=True)
     p_vals = _grid_eval(cp, grid)
     z_grid = _grid_points(grid)
     f_abs = np.abs(z_grid * p_vals)

@@ -23,7 +23,7 @@ from .criteria import (
 from .diskcheck import DiskGrid, Functional, verify_functional
 from .params import CoherenceError, ConfigurationError, MathieuGeomError, ParamSet
 from .series import CoefficientSeq, Family
-from .thresholds import ThresholdKind, threshold
+from .thresholds import MU_MIN, ThresholdKind, threshold
 
 EXPLORE_TERMS = 500  # larger than the verification default, to reduce
                      # false "no failure" plateaus
@@ -124,6 +124,25 @@ def bisect_failure_r(
         else:
             hi = mid
     return ThresholdRecord(kind, mu, sufficient_r, lo, lo - sufficient_r, probe, "ok")
+
+
+def theorem_matrix(mu_grid, n_terms=200, grid=None, levels=("sequence", "disk")):
+    """Rows of the acceptance matrix: each (kind, mu) at r = 0.99 *
+    threshold, checked at the sequence and/or disk level."""
+    grid = grid or DiskGrid()
+    rows = []
+    for kind in ThresholdKind:
+        for mu in mu_grid:
+            if mu < MU_MIN.get(kind, 0.0):
+                continue
+            r = 0.99 * threshold(kind, mu)
+            row = {"kind": kind.value, "mu": mu, "r": r}
+            for level in levels:
+                row[level] = probe_passes(kind, mu, r, probe=level,
+                                          n_terms=n_terms, grid=grid)
+            row["pass"] = all(row[level] for level in levels)
+            rows.append(row)
+    return rows
 
 
 def sweep(

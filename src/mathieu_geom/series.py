@@ -193,22 +193,68 @@ class EvalResult:
     tail_bound: float
 
 
+def truncated_coeffs(
+    seq: SequenceBase,
+    rho: float,
+    tol: float,
+    n_max: int,
+    index_weighted: bool = False,
+) -> tuple[np.ndarray, float]:
+    """Coefficients c_1..c_N of sum c_n z^(n-1) (c_n = a_n, or n a_n when
+    index_weighted), cut so the tail at |z| = rho is below tol.
+
+    Terms come in blocks of 256, doubling up to 16384, the last block
+    clipped to n_max.  The cut is at the first block end N whose block
+    is non-increasing and continues the previous block, and where the
+    geometric majorant c_N rho^N / (1 - rho) of the tail is below tol.
+    Returns (coefficients, that majorant).  Raises TruncationError with
+    the same pair as ``partial`` if no block end within n_max qualifies;
+    its majorant is inf unless the last block was non-increasing.
+    """
+    n_done = 0
+    block = 256
+    chunks = []
+    prev_last = math.inf
+    bound = math.inf
+    while n_done < n_max:
+        idx = np.arange(n_done + 1, min(n_done + block, n_max) + 1)
+        vals = seq.values_at(idx)
+        if index_weighted:
+            vals = idx * vals
+        chunks.append(vals)
+        n_done += len(idx)
+        monotone = bool(np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last)
+        prev_last = float(vals[-1])
+        bound = prev_last * rho**n_done / (1.0 - rho) if monotone else math.inf
+        if bound < tol:
+            return np.concatenate(chunks), bound
+        block = min(2 * block, 16384)
+    raise TruncationError(
+        f"series tail below {tol} not reached within {n_max} terms at |z|={rho}",
+        partial=(np.concatenate(chunks), bound),
+    )
+
+
 def eval_series(
-    c: CoefficientSeq,
+    c: SequenceBase,
     z: complex,
     tol: float = DEFAULT_TOL,
     n_max: int = N_MAX,
 ) -> EvalResult:
     """Evaluate sum_{n>=1} a_n z^n with a certified truncation tail bound.
 
-    Truncates at the first N where a geometric majorant
-    |a_N| |z|^(N+1) / (1-|z|) falls below tol.  The majorant is applied
-    only once the coefficient tip has been observed non-increasing for a
-    few consecutive terms (all supported families are eventually
-    monotone); otherwise a Cauchy-difference fallback is used.
+    The terms are those of ``truncated_coeffs`` at rho = |z|, called with
+    tol/rho: the sum stops at the first block end N whose block is
+    non-increasing and continues the previous one, and where the
+    geometric majorant a_N rho^(N+1) / (1-rho) of the tail, reported as
+    ``tail_bound``, is below tol.  Raises TruncationError, with the
+    partial EvalResult, if no such N lies within n_max terms; that
+    includes every sequence whose tail never turns non-increasing.
     """
     if tol <= 0:
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
+    if n_max < 1:
+        raise ParameterDomainError(f"n_max must be >= 1, got {n_max}")
     z = complex(z)
     rho = abs(z)
     if rho >= 1.0:
@@ -216,48 +262,17 @@ def eval_series(
     if rho == 0.0:
         return EvalResult(0j, 0, 0.0)
 
-    total = 0j
-    n_done = 0
-    block = 64
-    prev_last = math.inf
-    monotone_run = 0
-    checkpoint_total = None
-    checkpoint_diff_small = False
+    def result(coeffs: np.ndarray, bound: float) -> EvalResult:
+        idx = np.arange(1, len(coeffs) + 1)
+        return EvalResult(complex(np.sum(coeffs * z**idx)), len(coeffs), rho * bound)
 
-    while n_done < n_max:
-        m = min(block, n_max - n_done)
-        idx = np.arange(n_done + 1, n_done + m + 1)
-        vals = c.values_at(idx)
-        total += complex(np.sum(vals * z**idx))
-        n_done += m
-
-        if np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last:
-            monotone_run += m
-        else:
-            monotone_run = 0
-        prev_last = float(vals[-1])
-
-        if monotone_run >= 3:
-            bound = prev_last * rho ** (n_done + 1) / (1.0 - rho)
-            if bound < tol:
-                return EvalResult(total, n_done, bound)
-
-        # Fallback: Cauchy differences at doubling checkpoints, for
-        # sequences whose prefix never settles into decrease.
-        if checkpoint_total is not None:
-            diff = abs(total - checkpoint_total)
-            if diff < tol / 2 and checkpoint_diff_small:
-                return EvalResult(total, n_done, 2.0 * diff + tol / 2)
-            checkpoint_diff_small = diff < tol / 2
-        checkpoint_total = total
-
-        block = min(2 * block, 8192)
-
-    bound = prev_last * rho ** (n_done + 1) / (1.0 - rho)
-    raise TruncationError(
-        f"tolerance {tol} not reached within {n_max} terms",
-        partial=EvalResult(total, n_done, bound),
-    )
+    try:
+        return result(*truncated_coeffs(c, rho, tol / rho, n_max))
+    except TruncationError as exc:
+        raise TruncationError(
+            f"tolerance {tol} not reached within {n_max} terms",
+            partial=result(*exc.partial),
+        ) from None
 
 
 def eval_S(r: float, tol: float = DEFAULT_TOL, n_max: int = N_MAX) -> EvalResult:

@@ -29,6 +29,7 @@ from .params import (
     ParamSet,
     ParameterDomainError,
 )
+from .series import CoefficientSeq, Family
 
 
 class ThresholdKind(str, enum.Enum):
@@ -226,16 +227,12 @@ def g_second_derivative(x: float, p: ParamSet) -> float:
 
 def h_diff(n: int, p: ParamSet) -> float:
     """h(n) = n C_n - (n+1) C_{n+1} for the factorial family."""
-    from .series import CoefficientSeq, Family
-
     seq = CoefficientSeq(Family.Q, p)
     return n * seq.value(n) - (n + 1) * seq.value(n + 1)
 
 
 def h_tilde_diff(n: int, p: ParamSet) -> float:
     """h~(n) = C_n - C_{n+1} for the factorial family."""
-    from .series import CoefficientSeq, Family
-
     seq = CoefficientSeq(Family.Q, p)
     return seq.value(n) - seq.value(n + 1)
 

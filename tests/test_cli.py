@@ -135,7 +135,7 @@ class TestThresholdsAndSweep:
     def test_sweep_csv_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--kinds", "F_CloseToConvex,F_Starlike",
-                "--mu-grid", "1,2", "--seed", "0"]
+                "--mu-grid", "1,2"]
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
@@ -143,6 +143,13 @@ class TestThresholdsAndSweep:
         lines = a.read_text().splitlines()
         assert lines[0] == "kind,mu,sufficient_r,empirical_r,gap,probe,status"
         assert len(lines) == 5
+
+    def test_sweep_has_no_seed_option(self, capsys):
+        # the sweep is deterministic; a seed would change nothing
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "--kinds", "F_Starlike", "--mu-grid", "1", "--seed", "0"])
+        assert exc_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_sweep_default_kinds_all(self, capsys):
         code, out, _ = run(capsys, "sweep", "--kinds", "all", "--mu-grid", "1",

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieu_geom.criteria import (
     Status,
+    Witness,
+    _chain_scan,
     check_fejer_halfplane,
     check_fejer_starlike,
     check_goodman,
@@ -211,3 +215,89 @@ class TestSlackAndBernoulli:
             direct = (n**2 * ((n + 1) ** 2 + 1.0) ** 2
                       - (n + 1) ** 2 * (n**2 + 1.0) ** 2)
             assert (ozaki_bernoulli_margin(n, p) >= 0) == (direct >= 0)
+
+
+# The two per-orientation chain loops that _chain_scan replaced, kept
+# verbatim as oracles.
+_UNDERFLOW = 1e-280
+
+
+def _chain_nonincreasing(vals, logs=None):
+    min_margin = math.inf
+    witness = None
+    worst = 0.0
+    for k in range(len(vals) - 1):
+        lhs, rhs = float(vals[k]), float(vals[k + 1])
+        margin = lhs - rhs
+        violated = margin < -comparison_slack(lhs, rhs)
+        if logs is not None and lhs < _UNDERFLOW and rhs < _UNDERFLOW:
+            # both underflowed: order by log magnitude
+            violated = logs[k + 1] > logs[k] + 1e-9
+            margin = 0.0 if not violated else -math.exp(logs[k + 1])
+        min_margin = min(min_margin, margin)
+        if violated and margin < worst:
+            worst = margin
+            witness = Witness(k + 1, lhs, rhs)
+    return min_margin, witness
+
+
+def _chain_nondecreasing(vals, logs=None):
+    min_margin = math.inf
+    witness = None
+    worst = 0.0
+    for k in range(len(vals) - 1):
+        lhs, rhs = float(vals[k + 1]), float(vals[k])
+        margin = lhs - rhs
+        violated = margin < -comparison_slack(lhs, rhs)
+        if logs is not None and lhs < _UNDERFLOW and rhs < _UNDERFLOW:
+            violated = logs[k] > logs[k + 1] + 1e-9
+            margin = 0.0 if not violated else -math.exp(logs[k])
+        min_margin = min(min_margin, margin)
+        if violated and margin < worst:
+            worst = margin
+            witness = Witness(k + 1, lhs, rhs)
+    return min_margin, witness
+
+
+# Few distinct values so that ties are common, values below the underflow
+# threshold (subnormals and 0 too), inf (whose margins are NaN) and logs
+# that exp() underflows (< -745).
+_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-13, 1.0 - 1e-13, 2.0, 1e-290, 1e-300, math.inf]),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 1e-279, allow_subnormal=True),
+)
+_LOGS = st.one_of(
+    st.sampled_from([-800.0, -745.5, -745.0, -700.0, -644.0, 0.0]),
+    st.floats(-1000.0, 10.0),
+)
+
+
+class TestChainScan:
+    # inf - inf in the margins warns; the loops ignored those NaNs silently
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=400, deadline=None)
+    @given(vals=st.lists(_VALUES, min_size=2, max_size=30), data=st.data(),
+           with_logs=st.booleans())
+    def test_matches_per_orientation_loops(self, vals, data, with_logs):
+        v = np.array(vals)
+        logs = None
+        if with_logs:
+            logs = np.array(data.draw(st.lists(_LOGS, min_size=len(v), max_size=len(v))))
+        dec_logs = () if logs is None else (logs[:-1], logs[1:])
+        inc_logs = () if logs is None else (logs[1:], logs[:-1])
+        # repr: exact floats, and 0.0 is told apart from -0.0
+        assert repr(_chain_scan(v[:-1], v[1:], *dec_logs)) == repr(_chain_nonincreasing(v, logs))
+        assert repr(_chain_scan(v[1:], v[:-1], *inc_logs)) == repr(_chain_nondecreasing(v, logs))
+
+    def test_underflowed_log_margin_gives_no_witness(self):
+        # both sides underflowed and the chain is broken in the logs, but
+        # -exp(-800) is -0.0: the margin records it, no witness is named
+        v = np.array([0.0, 0.0])
+        margin, witness = _chain_scan(v[:-1], v[1:], np.array([-900.0]), np.array([-800.0]))
+        assert witness is None and repr(margin) == "-0.0"
+
+    def test_first_of_equal_worst_violations(self):
+        v = np.array([1.0, 2.0, 1.0, 2.0])
+        margin, witness = _chain_scan(v[:-1], v[1:])
+        assert margin == -1.0 and witness == Witness(1, 1.0, 2.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mathieu_geom.diskcheck import (
+    _COEFF_CAP,
     DiskGrid,
     DiskStatus,
     Functional,
@@ -21,8 +22,9 @@ from mathieu_geom.params import (
     ConfigurationError,
     DegeneratePointError,
     ParamSet,
+    TruncationError,
 )
-from mathieu_geom.series import CoefficientSeq, Family, FunctionSequence
+from mathieu_geom.series import CoefficientSeq, Family, FunctionSequence, truncated_coeffs
 
 IDENTITY = FunctionSequence(lambda n: np.where(n == 1, 1.0, 0.0))
 SMALL_GRID = DiskGrid(16, 64, 0.99)
@@ -168,3 +170,31 @@ class TestCsvDump:
         vals = [float(r[2]) for r in rows[1:]]
         rep = verify_ratio_halfplane(Family.F, ParamSet(1.0, 1.0), grid)
         assert min(vals) == pytest.approx(rep.min_value, abs=1e-13)
+
+
+def _geometric(log_q: float) -> FunctionSequence:
+    return FunctionSequence(lambda n: np.exp(log_q * (n - 1.0)))
+
+
+class TestCoefficientCap:
+    # At |z| = 0.9999 the tail bound of a_n = q^(n-1) at a block end N is
+    # q^(N-1) 0.9999^N / 1e-4.  With q = exp(-8e-5) it is above 1e-12 at
+    # the block end 196352 and first below it at 212736, the cap.
+    GRID = DiskGrid(2, 8, 0.9999)
+
+    def test_cap_is_a_block_end(self):
+        assert _COEFF_CAP == 256 * (2**6 - 1) + 12 * 16384
+
+    def test_tail_clearing_in_the_last_block_answers(self):
+        seq = _geometric(-8e-5)
+        coeffs, _ = truncated_coeffs(seq, 0.9999, 1e-12, _COEFF_CAP)
+        assert len(coeffs) == _COEFF_CAP
+        rep = verify_ratio_halfplane(seq, grid=self.GRID)
+        # f(z)/z = 1/(1 - q z), whose real part stays above 1/2
+        assert rep.holds
+        z = rep.argmin
+        assert rep.min_value == pytest.approx((1.0 / (1.0 - math.exp(-8e-5) * z)).real, rel=1e-9)
+
+    def test_tail_needing_more_than_the_cap_raises(self):
+        with pytest.raises(TruncationError):
+            verify_ratio_halfplane(_geometric(-6e-5), grid=self.GRID)

@@ -14,6 +14,7 @@ from mathieu_geom.series import (
     ZETA3,
     CoefficientSeq,
     Family,
+    FunctionSequence,
     ParamSet,
     coeff_F,
     coeff_Q,
@@ -132,6 +133,31 @@ class TestEvalSeries:
             eval_series(seq, 0.999, tol=1e-12, n_max=50)
         partial = exc_info.value.partial
         assert partial is not None and partial.truncation_index == 50
+
+    def test_n_max_must_be_positive(self):
+        seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
+        with pytest.raises(ParameterDomainError):
+            eval_series(seq, 0.5, n_max=0)
+
+    def test_never_monotone_tail_raises(self):
+        # a_n = 2 + (-1)^n alternates 1, 3, 1, 3, ...: no block is ever
+        # non-increasing, so no geometric majorant applies at any N
+        seq = FunctionSequence(lambda n: 2.0 + (-1.0) ** n)
+        with pytest.raises(TruncationError) as exc_info:
+            eval_series(seq, 0.5, n_max=1000)
+        partial = exc_info.value.partial
+        assert partial.truncation_index == 1000
+        assert partial.tail_bound == math.inf
+        assert partial.value == pytest.approx(brute_force_sum(seq, 0.5, 1000), abs=1e-14)
+
+    def test_cut_at_block_end_with_sound_bound(self):
+        # blocks of 256, 512, 1024, ...: every cut falls on a block end
+        seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
+        res = eval_series(seq, 0.99, tol=1e-12)
+        assert res.truncation_index in (256, 768, 1792, 3840, 7936, 16128)
+        assert res.tail_bound < 1e-12
+        longer = brute_force_sum(seq, 0.99, 2 * res.truncation_index)
+        assert abs(res.value - longer) <= res.tail_bound + 1e-15
 
 
 class TestClassicalMathieu:
