@@ -6,8 +6,11 @@ mu"; `threshold` returns that radius.  The convexity analysis of the
 factorial family rests on the auxiliary functions A(x) and A~(x) (log
 domain with sign tracking) and on eleven scalar/polynomial inequalities,
 each checked here by dense stratified sampling of its constraint box.
-The sampler reports the minimum margin and its location so the sharpness
-of each estimate is visible; it verifies, it does not prove.
+`digamma` and `trigamma` take a float or an array; the ledger margins map
+a dict of column arrays to an array, so all sampled points of a box are
+scored in one numpy pass.  The sampler reports the minimum margin and its
+location so the sharpness of each estimate is visible; it verifies, it
+does not prove.
 """
 
 from __future__ import annotations
@@ -91,46 +94,52 @@ def f_decrease_only_radius(mu: float) -> float:
 
 # --- digamma / trigamma -----------------------------------------------------
 
-# asymptotic tail coefficients in y = x^-2:
+# asymptotic tail coefficients in y = x^-2, highest power first:
 # psi(x) ~ ln x - 1/(2x) - sum B_2k/(2k) x^(-2k)
-_PSI_TAIL = (-1.0 / 12, 1.0 / 120, -1.0 / 252, 1.0 / 240,
-             -1.0 / 132, 691.0 / 32760, -1.0 / 12)
+_PSI_TAIL = (-1.0 / 12, 691.0 / 32760, -1.0 / 132, 1.0 / 240,
+             -1.0 / 252, 1.0 / 120, -1.0 / 12)
 # psi'(x) ~ 1/x + 1/(2x^2) + x^-3 * sum B_2k x^(-2(k-1))
-_TRI_TAIL = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
-             5.0 / 66, -691.0 / 2730, 7.0 / 6)
+_TRI_TAIL = (7.0 / 6, -691.0 / 2730, 5.0 / 66, -1.0 / 30,
+             1.0 / 42, -1.0 / 30, 1.0 / 6)
 
 _RECURRENCE_CUTOFF = 8.0
 
 
-def digamma(x: float) -> float:
-    """psi(x) for x > 0, by upward recurrence to x >= 8 plus the
-    asymptotic series (absolute error below 1e-12)."""
-    if not (x > 0):
-        raise ParameterDomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _RECURRENCE_CUTOFF:
-        acc -= 1.0 / x
-        x += 1.0
-    y = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_PSI_TAIL):
-        tail = tail * y + c
-    return acc + math.log(x) - 0.5 / x + tail * y
+def _shift_up(x, name: str, term):
+    """Shift x (a float or an array, every element > 0) up to >= 8 by the
+    recurrence: returns the shifted copy, the sum of term(x), term(x+1),
+    ... per element, and whether x was a scalar."""
+    arr = np.array(x, dtype=float, ndmin=1)
+    if not np.all(arr > 0):
+        raise ParameterDomainError(
+            f"{name} requires x > 0, got {arr[~(arr > 0)].flat[0]}")
+    acc = np.zeros_like(arr)
+    low = np.flatnonzero(arr < _RECURRENCE_CUTOFF)
+    while low.size:
+        v = arr[low]
+        acc[low] += term(v)
+        v += 1.0
+        arr[low] = v
+        low = low[v < _RECURRENCE_CUTOFF]
+    return arr, acc, np.ndim(x) == 0
 
 
-def trigamma(x: float) -> float:
-    """psi'(x) for x > 0, same scheme as `digamma`."""
-    if not (x > 0):
-        raise ParameterDomainError(f"trigamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < _RECURRENCE_CUTOFF:
-        acc += 1.0 / (x * x)
-        x += 1.0
+def digamma(x: float | np.ndarray) -> float | np.ndarray:
+    """psi(x) for x > 0, a float (Python float out) or an array
+    (elementwise), by upward recurrence to x >= 8 plus the asymptotic
+    series (absolute error below 1e-12)."""
+    x, acc, scalar = _shift_up(x, "digamma", lambda v: -1.0 / v)
     y = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_TRI_TAIL):
-        tail = tail * y + c
-    return acc + 1.0 / x + 0.5 * y + tail * y / x
+    val = acc + np.log(x) - 0.5 / x + np.polyval(_PSI_TAIL, y) * y
+    return float(val[0]) if scalar else val
+
+
+def trigamma(x: float | np.ndarray) -> float | np.ndarray:
+    """psi'(x) for x > 0, same scheme and types as `digamma`."""
+    x, acc, scalar = _shift_up(x, "trigamma", lambda v: 1.0 / (v * v))
+    y = 1.0 / (x * x)
+    val = acc + 1.0 / x + 0.5 * y + np.polyval(_TRI_TAIL, y) * y / x
+    return float(val[0]) if scalar else val
 
 
 def psi_bounds_check(x: float) -> tuple[bool, bool]:
@@ -264,83 +273,66 @@ class InequalityCase:
 
     dims: (name, lo, hi, logscale).  The dimensionless coordinate "t"
     parameterizes the coupled constraint 0 <= r <= sqrt(mu) via
-    r = t sqrt(mu).
+    r = t sqrt(mu).  margin (>= 0 where the inequality holds) maps a dict
+    of coordinate columns, r included, to an array; it is written in
+    numpy operations, so a dict of floats gives the margin at one point.
     """
     id: str
     dims: list
-    margin: Callable[[dict], float]
+    margin: Callable[[dict[str, np.ndarray]], np.ndarray]
     description: str = ""
 
+    def columns(self, coords: np.ndarray) -> dict:
+        """Columns of sample coordinates (one row per point), with r."""
+        cols = {name: coords[..., k] for k, (name, *_) in enumerate(self.dims)}
+        if "t" in cols:
+            cols["r"] = cols["t"] * np.sqrt(cols["mu"])
+        return cols
+
     def point(self, coords) -> dict:
-        params = {name: float(v) for (name, *_), v in zip(self.dims, coords)}
-        if "t" in params:
-            params["r"] = params["t"] * math.sqrt(params["mu"])
-        return params
+        return {name: float(v)
+                for name, v in self.columns(np.asarray(coords, dtype=float)).items()}
 
 
 def _gamma5_sq() -> float:
     return math.gamma(5.0) ** 2  # 576
 
 
-def _margin_rmuc(p: dict) -> float:
+# Squares are products: a scalar ** 2 goes through pow(), not correctly
+# rounded, while arrays are squared exactly; a point must match its column.
+
+def _margin_rmuc(p: dict) -> np.ndarray:
     mu, r, c = p["mu"], p["r"], p["c"]
-    return -2.0 * r * r * (4.0 * mu + 3.0) * c + (2.0 * mu + 1.0) ** 2 * c * c
+    c1 = 2.0 * mu + 1.0
+    return -2.0 * r * r * (4.0 * mu + 3.0) * c + c1 * c1 * c * c
 
 
-def _margin_psi_upper(p: dict) -> float:
-    x = p["x"]
-    return math.log(x) - 0.5 / x - digamma(x)
+def _log_term_sq(x) -> np.ndarray:
+    v = np.log(x + 1.0) - 1.0 / (x + 1.0)
+    return v * v
 
 
-def _margin_psi_lower(p: dict) -> float:
-    x = p["x"]
-    return digamma(x) - math.log(x) + 1.0 / x
-
-
-def _margin_trigamma(p: dict) -> float:
-    x = p["x"]
-    return 1.0 / x + 1.0 / (x * x) - trigamma(x)
-
-
-def _margin_sqrt(p: dict) -> float:
-    x = p["x"]
-    return math.sqrt(x) - math.log(x + 1.0) + 0.5 / (x + 1.0)
-
-
-def _margin_19_10(p: dict) -> float:
-    x = p["x"]
-    return (math.log(x + 1.0) - 1.0 / (x + 1.0)) ** 2 - 1.9
-
-
-def _margin_total(p: dict) -> float:
+def _margin_total(p: dict) -> np.ndarray:
     x, mu, r, c = p["x"], p["mu"], p["r"], p["c"]
     c1 = 2.0 * mu + 1.0
     r2 = r * r
-    return (2.0 * (r2 + c) * (r2 - c1 * c) * math.sqrt(x)
+    xp1 = x + 1.0
+    return (2.0 * (r2 + c) * (r2 - c1 * c) * np.sqrt(x)
             + x * (r2 * r2 - 2.0 * r2 * (4.0 * mu + 3.0) * c + c1 * c1 * c * c) * 1.9
-            + x * (r2 + c) * (r2 - c1 * c) * (1.0 / (x + 1.0) + 1.0 / (x + 1.0) ** 2))
+            + x * (r2 + c) * (r2 - c1 * c) * (1.0 / xp1 + 1.0 / (xp1 * xp1)))
 
 
-def _margin_rmu(p: dict) -> float:
+def _margin_rmu(p: dict) -> np.ndarray:
     mu, r, c = p["mu"], p["r"], p["c"]
-    return -2.0 * r * r * (4.0 * mu + 3.0) + (2.0 * mu + 1.0) ** 2 * c
+    c1 = 2.0 * mu + 1.0
+    return -2.0 * r * r * (4.0 * mu + 3.0) + c1 * c1 * c
 
 
-def _margin_log(p: dict) -> float:
-    x = p["x"]
-    return (math.log(x + 1.0) - 1.0 / (x + 1.0)) ** 2 - 1.0
-
-
-def _margin_frac(p: dict) -> float:
-    x = p["x"]
-    return 0.5 - 1.0 / (x + 1.0) - 1.0 / (x + 1.0) ** 2
-
-
-def _margin_cmu(p: dict) -> float:
+def _margin_cmu(p: dict) -> np.ndarray:
     mu, r, c = p["mu"], p["r"], p["c"]
+    c1 = 2.0 * mu + 1.0
     r2 = r * r
-    return ((2.0 * mu + 1.0) ** 2 - 2.0 * r2 * (4.0 * mu + 3.0) / c
-            - 0.5 * (2.0 * mu + 1.0) * (1.0 + r2 / c))
+    return c1 * c1 - 2.0 * r2 * (4.0 * mu + 3.0) / c - 0.5 * c1 * (1.0 + r2 / c)
 
 
 INEQUALITY_CASES = {
@@ -355,31 +347,31 @@ INEQUALITY_CASES = {
         InequalityCase(
             "eq-psi-upper",
             [("x", 1.0 + 1e-9, 1e4, True)],
-            _margin_psi_upper,
+            lambda p: np.log(p["x"]) - 0.5 / p["x"] - digamma(p["x"]),
             "psi(x) < log x - 1/(2x) for x > 1",
         ),
         InequalityCase(
             "eq-psi-lower",
             [("x", 1.0 + 1e-9, 1e4, True)],
-            _margin_psi_lower,
+            lambda p: digamma(p["x"]) - np.log(p["x"]) + 1.0 / p["x"],
             "psi(x) > log x - 1/x for x > 1",
         ),
         InequalityCase(
             "eq-trigamma",
             [("x", 1e-6, 1e4, True)],
-            _margin_trigamma,
+            lambda p: 1.0 / p["x"] + 1.0 / (p["x"] * p["x"]) - trigamma(p["x"]),
             "psi'(x) < 1/x + 1/x^2 for x > 0",
         ),
         InequalityCase(
             "eq-sqrt",
             [("x", 1.0, 1e6, True)],
-            _margin_sqrt,
+            lambda p: np.sqrt(p["x"]) - np.log(p["x"] + 1.0) + 0.5 / (p["x"] + 1.0),
             "log(x+1) - 1/(2(x+1)) <= sqrt(x) for x >= 1",
         ),
         InequalityCase(
             "eq-19-10",
             [("x", 4.0, 1e4, True)],
-            _margin_19_10,
+            lambda p: _log_term_sq(p["x"]) - 1.9,
             "(log(x+1) - 1/(x+1))^2 >= 19/10 for x >= 4",
         ),
         InequalityCase(
@@ -398,13 +390,13 @@ INEQUALITY_CASES = {
         InequalityCase(
             "eq-log-ineq",
             [("x", 3.0, 1e4, True)],
-            _margin_log,
+            lambda p: _log_term_sq(p["x"]) - 1.0,
             "(log(x+1) - 1/(x+1))^2 >= 1 for x >= 3",
         ),
         InequalityCase(
             "eq-frac-ineq",
             [("x", 3.0, 1e4, True)],
-            _margin_frac,
+            lambda p: 0.5 - 1.0 / (p["x"] + 1.0) - 1.0 / ((p["x"] + 1.0) * (p["x"] + 1.0)),
             "1/(x+1) + 1/(x+1)^2 <= 1/2 for x >= 3",
         ),
         InequalityCase(
@@ -458,7 +450,8 @@ def verify_inequality(
 ) -> CriterionReport:
     """Search the constraint box of one ledger inequality for a
     counterexample.  Verified means no sampled margin fell at or below
-    -slack; the minimum margin and its location are always reported.
+    -slack; a NaN margin makes the result Inconclusive, located at the
+    first NaN.  The minimum margin and its location are always reported.
     """
     if isinstance(case, str):
         if case not in INEQUALITY_CASES:
@@ -469,20 +462,26 @@ def verify_inequality(
 
     unit = _unit_samples(case, samples, seed)
     coords = _scale(case, unit)
-    min_margin = math.inf
-    argmin_point = None
-    for row in coords:
-        point = case.point(row)
-        m = case.margin(point)
-        if m < min_margin:
-            min_margin = m
-            argmin_point = point
-    status = Status.VERIFIED if min_margin > -slack else Status.FALSIFIED
+    margins = np.broadcast_to(
+        np.asarray(case.margin(case.columns(coords)), dtype=float), len(coords))
+    nan = np.isnan(margins)
+    n_nan = int(nan.sum())
+    k = int(np.argmax(nan)) if n_nan else int(np.argmin(margins))
+    min_margin = float(margins[k])
+    argmin_point = case.point(coords[k])
+    if n_nan:
+        status = Status.INCONCLUSIVE
+        found = f"margin NaN at {n_nan} of {len(coords)} points, first at {argmin_point}"
+    else:
+        status = Status.VERIFIED if min_margin > -slack else Status.FALSIFIED
+        found = f"min margin at {argmin_point}"
+    corners = 2 ** len(case.dims)
     return CriterionReport(
         criterion=f"inequality:{case.id}",
         status=status,
         terms_checked=len(coords),
         min_margin=min_margin,
-        detail=f"min margin at {argmin_point}",
+        detail=(f"{found}; Sobol seed {seed}: {corners} corner, "
+                f"{len(coords) - corners - samples} face and {samples} interior points"),
         argmin_point=argmin_point,
     )

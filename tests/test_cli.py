@@ -111,6 +111,16 @@ class TestVerify:
         assert data["criterion"] == "inequality:eq-frac-ineq"
         assert data["min_margin"] > 0
 
+    def test_nan_margin_exits_3(self, capsys, monkeypatch):
+        from mathieu_geom.thresholds import INEQUALITY_CASES, InequalityCase
+
+        case = InequalityCase("nan-case", [("x", 1.0, 2.0, False)], lambda p: p["x"] * math.nan)
+        monkeypatch.setitem(INEQUALITY_CASES, case.id, case)
+        code, out, _ = run(capsys, "verify", "--inequality", "nan-case",
+                           "--samples", "1000", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["status"] == "Inconclusive"
+
     def test_exactly_one_mode_required(self, capsys):
         code, *_ = run(capsys, "verify", "--family", "F", "--mu", "1", "--r", "1")
         assert code == 2

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from mathieu_geom.criteria import Status
@@ -18,6 +20,7 @@ from mathieu_geom.params import (
 from mathieu_geom.thresholds import (
     INEQUALITY_CASES,
     A_of_x,
+    InequalityCase,
     A_tilde_of_x,
     ThresholdKind,
     digamma,
@@ -31,6 +34,7 @@ from mathieu_geom.thresholds import (
     psi_bounds_check,
     threshold,
     trigamma,
+    _scale,
     _unit_samples,
     trigamma_bound_check,
     verify_inequality,
@@ -132,6 +136,29 @@ class TestDigammaTrigamma:
     def test_trigamma_bound(self):
         for x in np.exp(np.linspace(math.log(1e-3), math.log(1e4), 500)):
             assert trigamma_bound_check(float(x))
+
+    @pytest.mark.parametrize("fn", [digamma, trigamma])
+    def test_array_equals_scalar(self, fn):
+        xs = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 2001))
+        got = fn(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert type(fn(float(xs[0]))) is float
+        assert np.array_equal(got, [fn(float(x)) for x in xs])
+
+    def test_scipy_cross_check_on_arrays(self):
+        from scipy.special import polygamma, psi
+
+        xs = np.exp(np.linspace(math.log(0.1), math.log(1e4), 2000))
+        np.testing.assert_allclose(digamma(xs), psi(xs), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trigamma(xs), polygamma(1, xs), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_domain(self, bad):
+        xs = np.array([0.5, 2.0, bad, 10.0])
+        with pytest.raises(ParameterDomainError):
+            digamma(xs)
+        with pytest.raises(ParameterDomainError):
+            trigamma(xs)
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
@@ -256,13 +283,79 @@ class TestInequalityLedger:
 
     def test_falsification_path(self):
         # artificial case: flip eq-frac-ineq so it genuinely fails
-        from mathieu_geom.thresholds import InequalityCase
-
         bad = InequalityCase(
             "bad", [("x", 3.0, 1e4, True)], lambda p: -1.0 / (p["x"] + 1.0))
         rep = verify_inequality(bad, samples=10**3)
         assert rep.status is Status.FALSIFIED
         assert rep.min_margin < 0
+
+    def test_all_nan_margins_are_inconclusive(self):
+        # before the vectorized pass this case reported Verified with
+        # min_margin inf and no argmin: `m < min_margin` is False for NaN
+        case = InequalityCase("nan", [("x", 3.0, 1e4, True)], lambda p: p["x"] * math.nan)
+        rep = verify_inequality(case, samples=10**3)
+        assert rep.status is Status.INCONCLUSIVE
+        assert math.isnan(rep.min_margin)
+        assert rep.argmin_point == case.point(_scale(case, _unit_samples(case, 10**3, 0))[0])
+        assert rep.argmin_point["x"] == pytest.approx(3.0, rel=1e-15)
+        assert "margin NaN at 1002 of 1002 points" in rep.detail
+
+    def test_some_nan_margins_are_inconclusive_at_the_first(self):
+        case = InequalityCase(
+            "some-nan", [("x", 3.0, 1e4, True)],
+            lambda p: np.where(p["x"] > 100.0, math.nan, -1.0 / p["x"]))
+        rep = verify_inequality(case, samples=10**3, seed=3)
+        coords = _scale(case, _unit_samples(case, 10**3, 3))[:, 0]
+        first = int(np.argmax(coords > 100.0))
+        assert rep.status is Status.INCONCLUSIVE
+        assert rep.argmin_point == {"x": float(coords[first])}
+        assert f"margin NaN at {int(np.sum(coords > 100.0))} of 1002 points" in rep.detail
+
+    def test_detail_gives_provenance(self):
+        # eq-total has 4 dims: 16 corners, 8 faces of 2000 // 32 points each
+        rep = verify_inequality("eq-total", samples=2000, seed=7)
+        assert "Sobol seed 7: 16 corner, 496 face and 2000 interior points" in rep.detail
+        assert rep.terms_checked == 16 + 496 + 2000
+        assert f"min margin at {rep.argmin_point}" in rep.detail
+        assert all(type(v) is float for v in rep.argmin_point.values())
+
+    @staticmethod
+    def _loop_oracle(case, samples, seed, slack=1e-12):
+        # reference: the per-point loop the vectorized pass replaced
+        unit = _unit_samples(case, samples, seed)
+        coords = _scale(case, unit)
+        min_margin = math.inf
+        argmin_point = None
+        for row in coords:
+            point = case.point(row)
+            m = case.margin(point)
+            if m < min_margin:
+                min_margin = m
+                argmin_point = point
+        status = Status.VERIFIED if min_margin > -slack else Status.FALSIFIED
+        return status, float(min_margin), argmin_point, len(coords)
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
+    @settings(max_examples=4, deadline=None)
+    @given(samples=st.integers(1000, 4000), seed=st.integers(0, 2**31 - 1))
+    def test_vectorized_matches_loop_oracle(self, case_id, samples, seed):
+        case = INEQUALITY_CASES[case_id]
+        status, min_margin, argmin_point, n = self._loop_oracle(case, samples, seed)
+        rep = verify_inequality(case, samples=samples, seed=seed)
+        assert rep.status is status
+        assert repr(rep.min_margin) == repr(min_margin)
+        assert rep.argmin_point == argmin_point
+        assert rep.terms_checked == n
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
+    def test_margin_takes_one_point_of_floats(self, case_id):
+        case = INEQUALITY_CASES[case_id]
+        coords = _scale(case, _unit_samples(case, 1000, 5))
+        margins = case.margin(case.columns(coords))
+        for k in range(0, len(coords), 97):
+            m = case.margin(case.point(coords[k]))
+            assert np.ndim(m) == 0
+            assert float(m) == margins[k]
 
     @staticmethod
     def _list_built_samples(case, n_interior, seed):
