@@ -136,6 +136,8 @@ def disk_report_dict(rep: DiskReport) -> dict:
         "argmin_im": rep.argmin.imag,
         "grid": {"n_radii": rep.grid.n_radii, "n_angles": rep.grid.n_angles,
                  "max_radius": rep.grid.max_radius},
+        "terms": rep.terms,
+        "tail_bound": rep.tail_bound,
     }
 
 

@@ -36,6 +36,8 @@ _SERIES_TAIL_TOL = 1e-12
 # check once cut its last block only there, and series near |z| = 1 that
 # it answered need the terms past 200_000.
 _COEFF_CAP = 212_736
+# _point_eval's Horner block length, a power of two: powers come by doubling
+_HORNER_BLOCK = 256
 
 
 class Functional(str, enum.Enum):
@@ -93,6 +95,8 @@ class DiskReport:
     grid: DiskGrid
     status: DiskStatus
     bound: float
+    terms: int          # longest coefficient array used
+    tail_bound: float   # largest tail majorant of the series cuts used
 
     @property
     def holds(self) -> bool:
@@ -111,69 +115,71 @@ def as_sequence(family: Union[SequenceBase, Family, str], p: Optional[ParamSet] 
 def _grid_eval(coeffs: np.ndarray, grid: DiskGrid) -> np.ndarray:
     """Evaluate sum_n c_n z^(n-1) on the whole lattice.
 
-    At fixed radius the angle dependence is a Fourier sum, so the terms
-    are folded modulo n_angles and finished with one FFT per radius.
+    At fixed radius the angle dependence is a Fourier sum.  With
+    C[q, k] = c_(qm+k+1) (zero-padded, m = n_angles) the terms folded modulo
+    m are (rad^(mq) @ C) rad^k: one matmul for all radii, then one FFT.
     """
-    n_terms = len(coeffs)
     m = grid.n_angles
-    powers = np.arange(n_terms)
-    out = np.empty((grid.n_radii, m), dtype=complex)
-    pad = (-n_terms) % m
-    for i, rad in enumerate(grid.radii()):
-        w = coeffs * rad**powers
-        folded = np.pad(w, (0, pad)).reshape(-1, m).sum(axis=0)
-        out[i] = np.fft.ifft(folded) * m
-    return out
+    c = np.pad(coeffs, (0, (-len(coeffs)) % m)).reshape(-1, m)
+    rad = grid.radii()[:, None]
+    folded = (rad ** (m * np.arange(len(c))) @ c) * rad ** np.arange(m)
+    return np.fft.ifft(folded, axis=1) * m
 
 
 def _point_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation of sum c_n z^(n-1) at arbitrary points."""
-    res = np.zeros_like(z, dtype=complex)
-    for c in coeffs[::-1]:
-        res = res * z + c
-    return res
+    """sum c_n z^(n-1), c_n real, at arbitrary points: block sums of B terms
+    are one real matmul against the real and imaginary parts of
+    z^0..z^(B-1), B = _HORNER_BLOCK; then Horner in z^B over the blocks."""
+    b = _HORNER_BLOCK
+    zf = np.asarray(z, dtype=complex).reshape(-1)
+    powers = np.empty((b, zf.size), dtype=complex)
+    powers[0] = 1.0
+    k = 1
+    while k < b:  # z^k..z^(2k-1) = z^0..z^(k-1) times z^k
+        powers[k : 2 * k] = powers[:k] * (powers[k - 1] * zf)
+        k *= 2
+    blocks = np.pad(coeffs, (0, (-len(coeffs)) % b)).reshape(-1, b)
+    sums = (blocks @ powers.view(float)).view(complex)
+    z_b = powers[-1] * zf
+    res = np.zeros(zf.size, dtype=complex)
+    for s in sums[::-1]:
+        res = res * z_b + s
+    return res.reshape(np.shape(z))
 
 
 def _grid_points(grid: DiskGrid) -> np.ndarray:
     return grid.radii()[:, None] * np.exp(1j * grid.angles())[None, :]
 
 
-def _functional_on_grid(functional: Functional, seq: SequenceBase, grid: DiskGrid):
-    """Returns (values array over the lattice, point evaluator for the
-    same functional at arbitrary z)."""
+def _functional_on_grid(functional: Functional, seq: SequenceBase, grid: DiskGrid, z_grid):
+    """Returns (values over the lattice z_grid, point evaluator for the
+    same functional at arbitrary z, (terms, tail_bound)): the longest
+    coefficient array used and the largest tail majorant of its cuts."""
     rho = grid.max_radius
-    if functional is Functional.RATIO_HALFPLANE:
-        c, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP)
+    weighted = ((False, True) if functional is Functional.STARLIKE
+                else (functional is not Functional.RATIO_HALFPLANE,))
+    cuts = [truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, w) for w in weighted]
+    budget = (max(len(c) for c, _ in cuts), max(tail for _, tail in cuts))
+    c = cuts[-1][0]
+    if functional in (Functional.RATIO_HALFPLANE, Functional.DERIV_HALFPLANE):
         vals = _grid_eval(c, grid).real
 
         def at(z):
             return _point_eval(c, z).real
 
-        return vals, at
+        return vals, at, budget
 
-    if functional in (Functional.DERIV_HALFPLANE, Functional.CLOSE_TO_CONVEX):
-        c, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, index_weighted=True)
-        deriv = _grid_eval(c, grid)
-        if functional is Functional.DERIV_HALFPLANE:
-            vals = deriv.real
+    if functional is Functional.CLOSE_TO_CONVEX:
+        vals = ((1.0 - z_grid) * _grid_eval(c, grid)).real
 
-            def at(z):
-                return _point_eval(c, z).real
+        def at(z):
+            return ((1.0 - z) * _point_eval(c, z)).real
 
-        else:
-            z_grid = _grid_points(grid)
-            vals = ((1.0 - z_grid) * deriv).real
-
-            def at(z):
-                return ((1.0 - z) * _point_eval(c, z)).real
-
-        return vals, at
+        return vals, at, budget
 
     # Starlike: Re(z f'/f) = Re(D/P) with D = sum n a_n z^(n-1), P = f/z
-    cp, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP)
-    cd, _ = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, index_weighted=True)
+    cp, cd = cuts[0][0], c
     p_vals = _grid_eval(cp, grid)
-    z_grid = _grid_points(grid)
     f_abs = np.abs(z_grid * p_vals)
     if np.any(f_abs < 1e-14):
         i, j = np.unravel_index(int(np.argmin(f_abs)), f_abs.shape)
@@ -193,7 +199,7 @@ def _functional_on_grid(functional: Functional, seq: SequenceBase, grid: DiskGri
             )
         return (_point_eval(cd, z) / p).real
 
-    return vals, at
+    return vals, at, budget
 
 
 def _polish(grid: DiskGrid, at, i: int, j: int, min_value: float, argmin: complex):
@@ -235,18 +241,19 @@ def verify_functional(
     seq = as_sequence(family, p)
     grid = grid or DiskGrid()
 
-    vals, at = _functional_on_grid(functional, seq, grid)
+    z_grid = _grid_points(grid)
+    vals, at, (terms, tail_bound) = _functional_on_grid(functional, seq, grid, z_grid)
     flat = int(np.argmin(vals))  # row-major: ties break on (radius, angle)
     i, j = np.unravel_index(flat, vals.shape)
     min_value = float(vals[i, j])
-    argmin = complex(_grid_points(grid)[i, j])
+    argmin = complex(z_grid[i, j])
 
     bound = FUNCTIONAL_BOUND[functional]
     if min_value <= bound - tolerance:
         min_value, argmin = _polish(grid, at, int(i), int(j), min_value, argmin)
 
     status = DiskStatus.HOLDS if min_value > bound - tolerance else DiskStatus.VIOLATED
-    return DiskReport(functional, min_value, argmin, grid, status, bound)
+    return DiskReport(functional, min_value, argmin, grid, status, bound, terms, tail_bound)
 
 
 def verify_ratio_halfplane(family, p=None, grid=None, tolerance=DEFAULT_TOLERANCE) -> DiskReport:
@@ -277,7 +284,7 @@ def dump_grid_csv(functional: Functional | str, family, p, grid, path) -> None:
     functional = Functional(functional)
     seq = as_sequence(family, p)
     grid = grid or DiskGrid()
-    vals, _ = _functional_on_grid(functional, seq, grid)
+    vals, _, _ = _functional_on_grid(functional, seq, grid, _grid_points(grid))
     radii = grid.radii()
     angles = grid.angles()
     with open(path, "w", newline="") as fh:

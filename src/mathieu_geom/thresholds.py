@@ -435,10 +435,10 @@ def _unit_samples(case: InequalityCase, n_interior: int, seed: int) -> np.ndarra
 def _scale(case: InequalityCase, unit: np.ndarray) -> np.ndarray:
     out = np.empty_like(unit)
     for k, (_, lo, hi, logscale) in enumerate(case.dims):
-        if logscale:
-            out[:, k] = np.exp(np.log(lo) + unit[:, k] * (np.log(hi) - np.log(lo)))
-        else:
-            out[:, k] = lo + unit[:, k] * (hi - lo)
+        u = unit[:, k]
+        inner = np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo))) if logscale else lo + u * (hi - lo)
+        # u = 0 and u = 1 land exactly on the ends: exp(log(lo)) can miss lo by an ulp
+        out[:, k] = np.select([u == 0.0, u == 1.0], [lo, hi], inner)
     return out
 
 

@@ -103,6 +103,18 @@ class TestVerify:
         assert data["status"] in ("Holds", "Violated")
         assert (code == 0) == (data["status"] == "Holds")
 
+    def test_functional_json_carries_series_budget(self, capsys):
+        from mathieu_geom.diskcheck import DiskGrid, verify_starlike
+        from mathieu_geom.params import ParamSet
+
+        _, out, _ = run(capsys, "verify", "--functional", "starlike",
+                        "--family", "F", "--mu", "1", "--r", "0.9",
+                        "--radii", "16", "--angles", "64", "--format", "json")
+        data = json.loads(out)
+        rep = verify_starlike("F", ParamSet(1.0, 0.9), DiskGrid(16, 64))
+        assert (data["terms"], data["tail_bound"]) == (rep.terms, rep.tail_bound)
+        assert data["terms"] >= 256 and 0.0 <= data["tail_bound"] < 1e-12
+
     def test_inequality(self, capsys):
         code, out, _ = run(capsys, "verify", "--inequality", "eq-frac-ineq",
                            "--samples", "2000", "--format", "json")

@@ -276,7 +276,7 @@ _LOGS = st.one_of(
 class TestChainScan:
     # inf - inf in the margins warns; the loops ignored those NaNs silently
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(vals=st.lists(_VALUES, min_size=2, max_size=30), data=st.data(),
            with_logs=st.booleans())
     def test_matches_per_orientation_loops(self, vals, data, with_logs):

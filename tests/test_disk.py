@@ -5,12 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieu_geom.diskcheck import (
     _COEFF_CAP,
+    _HORNER_BLOCK,
     DiskGrid,
     DiskStatus,
     Functional,
+    _functional_on_grid,
+    _grid_eval,
+    _grid_points,
+    _point_eval,
     dump_grid_csv,
     verify_close_to_convex,
     verify_deriv_halfplane,
@@ -24,7 +31,13 @@ from mathieu_geom.params import (
     ParamSet,
     TruncationError,
 )
-from mathieu_geom.series import CoefficientSeq, Family, FunctionSequence, truncated_coeffs
+from mathieu_geom.series import (
+    CoefficientSeq,
+    Family,
+    FunctionSequence,
+    eval_series,
+    truncated_coeffs,
+)
 
 IDENTITY = FunctionSequence(lambda n: np.where(n == 1, 1.0, 0.0))
 SMALL_GRID = DiskGrid(16, 64, 0.99)
@@ -125,11 +138,9 @@ class TestGridRobustness:
     def test_conjugate_symmetry(self):
         # real coefficients: values at theta and 2pi - theta coincide, so
         # the minimum over the upper half grid equals the full minimum
-        from mathieu_geom.diskcheck import _functional_on_grid
-
         seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
         grid = DiskGrid(16, 64, 0.99)
-        vals, _ = _functional_on_grid(Functional.RATIO_HALFPLANE, seq, grid)
+        vals, _, _ = _functional_on_grid(Functional.RATIO_HALFPLANE, seq, grid, _grid_points(grid))
         upper = vals[:, : 64 // 2 + 1]
         assert float(upper.min()) == pytest.approx(float(vals.min()), abs=1e-13)
         assert np.allclose(vals[:, 1:], vals[:, :0:-1], atol=1e-12)
@@ -198,3 +209,130 @@ class TestCoefficientCap:
     def test_tail_needing_more_than_the_cap_raises(self):
         with pytest.raises(TruncationError):
             verify_ratio_halfplane(_geometric(-6e-5), grid=self.GRID)
+
+
+class TestSeriesBudget:
+    def test_identity_needs_one_block(self):
+        rep = verify_ratio_halfplane(IDENTITY, grid=SMALL_GRID)
+        assert rep.terms == 256
+        assert rep.tail_bound == 0.0
+
+    def test_starlike_reports_the_larger_of_its_two_cuts(self):
+        # Starlike cuts sum a_n z^(n-1) and sum n a_n z^(n-1) separately; here
+        # the longer cut is the weighted one and the larger majorant the other
+        seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
+        cp, tail_p = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP)
+        cd, tail_d = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP,
+                                      index_weighted=True)
+        assert len(cd) > len(cp) and tail_p > tail_d
+        rep = verify_starlike(seq, grid=SMALL_GRID)
+        assert rep.terms == len(cd)
+        assert rep.tail_bound == tail_p
+        assert 0.0 < rep.tail_bound < 1e-12
+
+    @pytest.mark.parametrize("functional", list(Functional))
+    def test_every_functional_reports_its_cut(self, functional):
+        seq = CoefficientSeq(Family.Q, ParamSet(2.0, 1.0))
+        rep = verify_functional(functional, seq, grid=SMALL_GRID)
+        weighted = functional is not Functional.RATIO_HALFPLANE
+        c, tail = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP,
+                                   index_weighted=weighted)
+        if functional is Functional.STARLIKE:
+            c0, tail0 = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP)
+            c, tail = max(c, c0, key=len), max(tail, tail0)
+        assert (rep.terms, rep.tail_bound) == (len(c), tail)
+
+
+# The evaluators as they were before the folded matmul and the blocked
+# Horner loop, kept verbatim as oracles.
+def _grid_eval_per_radius(coeffs: np.ndarray, grid: DiskGrid) -> np.ndarray:
+    n_terms = len(coeffs)
+    m = grid.n_angles
+    powers = np.arange(n_terms)
+    out = np.empty((grid.n_radii, m), dtype=complex)
+    pad = (-n_terms) % m
+    for i, rad in enumerate(grid.radii()):
+        w = coeffs * rad**powers
+        folded = np.pad(w, (0, pad)).reshape(-1, m).sum(axis=0)
+        out[i] = np.fft.ifft(folded) * m
+    return out
+
+
+def _point_eval_horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    res = np.zeros_like(z, dtype=complex)
+    for c in coeffs[::-1]:
+        res = res * z + c
+    return res
+
+
+# Lengths from 1 to 5000, with the block edges of _HORNER_BLOCK drawn often.
+_LENGTHS = st.one_of(
+    st.integers(1, 5000),
+    st.sampled_from([1, 2, 3, 255, 256, 257, 511, 512, 513, 4095, 4096, 4097]),
+)
+
+
+def _coeffs(length: int, seed: int, decay: float) -> np.ndarray:
+    """Gaussian coefficients times n^-decay: flat to fast-decaying."""
+    n = np.arange(1, length + 1)
+    return np.random.default_rng(seed).standard_normal(length) * n**-decay
+
+
+class TestEvaluatorOracles:
+    @settings(max_examples=60)
+    @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
+           n_radii=st.integers(1, 6), n_angles=st.integers(4, 600),
+           max_radius=st.one_of(st.floats(0.01, 0.9999), st.sampled_from([0.999, 0.9999])))
+    def test_grid_eval_matches_per_radius_loop(self, length, seed, decay, n_radii, n_angles,
+                                               max_radius):
+        coeffs = _coeffs(length, seed, decay)
+        grid = DiskGrid(n_radii, n_angles, max_radius)
+        got = _grid_eval(coeffs, grid)
+        want = _grid_eval_per_radius(coeffs, grid)
+        assert got.shape == want.shape == (n_radii, n_angles)
+        scale = np.abs(coeffs) @ grid.radii()[None, :] ** np.arange(length)[:, None]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale[:, None])
+
+    @settings(max_examples=60)
+    @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
+           shape=st.sampled_from([(), (1,), (7,), (17, 17), (3, 5)]),
+           moduli=st.lists(st.floats(0.0, 1.05), min_size=1, max_size=8),
+           angles=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8))
+    def test_point_eval_matches_horner(self, length, seed, decay, shape, moduli, angles):
+        coeffs = _coeffs(length, seed, decay)
+        pts = np.array([r * np.exp(1j * t) for r in moduli for t in angles] + [0.0, 0.9999j])
+        z = np.resize(pts, shape)
+        got = _point_eval(coeffs, z)
+        want = _point_eval_horner(coeffs, z)
+        assert np.shape(got) == np.shape(want) == shape
+        scale = np.abs(coeffs) @ np.abs(z)[..., None, None] ** np.arange(length)[:, None]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale[..., 0])
+
+    def test_block_is_a_power_of_two(self):
+        # _point_eval builds its table of powers by doubling
+        assert _HORNER_BLOCK >= 2 and _HORNER_BLOCK & (_HORNER_BLOCK - 1) == 0
+
+
+class TestPolishedLongSeries:
+    # Violated at max_radius 0.999 with a cut of 32512 terms (127 blocks of
+    # the Horner loop), where the polish moves the minimum off the lattice
+    GRID = DiskGrid(32, 128, 0.999)
+
+    @pytest.mark.parametrize("functional,r", [
+        (Functional.RATIO_HALFPLANE, 4.0),
+        (Functional.DERIV_HALFPLANE, 2.5),
+    ])
+    def test_minimum_agrees_with_direct_sum(self, functional, r):
+        seq = CoefficientSeq(Family.F, ParamSet(0.3, r))
+        rep = verify_functional(functional, seq, grid=self.GRID)
+        assert rep.status is DiskStatus.VIOLATED
+        assert rep.terms == 32512
+        vals, _, _ = _functional_on_grid(functional, seq, self.GRID, _grid_points(self.GRID))
+        assert rep.min_value < vals.min()
+        z = rep.argmin
+        if functional is Functional.RATIO_HALFPLANE:
+            direct = (eval_series(seq, z).value / z).real
+        else:
+            n = np.arange(1, 80_001)
+            direct = np.polyval((n * seq.values_at(n))[::-1], z).real
+        assert rep.min_value == pytest.approx(direct, rel=1e-8)

@@ -336,7 +336,7 @@ class TestInequalityLedger:
         return status, float(min_margin), argmin_point, len(coords)
 
     @pytest.mark.parametrize("case_id", ALL_IDS)
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=4)
     @given(samples=st.integers(1000, 4000), seed=st.integers(0, 2**31 - 1))
     def test_vectorized_matches_loop_oracle(self, case_id, samples, seed):
         case = INEQUALITY_CASES[case_id]
@@ -346,6 +346,18 @@ class TestInequalityLedger:
         assert repr(rep.min_margin) == repr(min_margin)
         assert rep.argmin_point == argmin_point
         assert rep.terms_checked == n
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
+    def test_faces_land_exactly_on_the_box_ends(self, case_id):
+        case = INEQUALITY_CASES[case_id]
+        unit = _unit_samples(case, 1000, 3)
+        coords = _scale(case, unit)
+        corners = 2 ** len(case.dims)
+        for k, (_, lo, hi, _) in enumerate(case.dims):
+            assert set(coords[:corners, k]) == {lo, hi}
+            assert np.all(coords[unit[:, k] == 0.0, k] == lo)
+            assert np.all(coords[unit[:, k] == 1.0, k] == hi)
+            assert np.all((coords[:, k] >= lo) & (coords[:, k] <= hi))
 
     @pytest.mark.parametrize("case_id", ALL_IDS)
     def test_margin_takes_one_point_of_floats(self, case_id):
