@@ -138,13 +138,15 @@ def disk_report_dict(rep: DiskReport) -> dict:
                  "max_radius": rep.grid.max_radius},
         "terms": rep.terms,
         "tail_bound": rep.tail_bound,
+        "m": rep.m, "discretisation_bound": rep.discretisation_bound,
+        "lower_bound": rep.lower_bound, "winding": rep.winding,
     }
 
 
 def _status_exit(status) -> int:
     if status in (Status.VERIFIED, DiskStatus.HOLDS):
         return 0
-    if status is Status.INCONCLUSIVE:
+    if status in (Status.INCONCLUSIVE, DiskStatus.INCONCLUSIVE):
         return 3
     return 1
 
@@ -293,8 +295,8 @@ def _add_family_flags(p):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--radii", type=int, default=64)
-    p.add_argument("--angles", type=int, default=256)
+    p.add_argument("--radii", type=int, default=64, help="interior lattice radii (--dump-grid)")
+    p.add_argument("--angles", type=int, default=256, help="first number of circle points")
     p.add_argument("--max-radius", type=float, default=0.995)
 
 

@@ -115,6 +115,31 @@ class TestVerify:
         assert (data["terms"], data["tail_bound"]) == (rep.terms, rep.tail_bound)
         assert data["terms"] >= 256 and 0.0 <= data["tail_bound"] < 1e-12
 
+    def test_functional_json_carries_certificate(self, capsys):
+        from mathieu_geom.diskcheck import DiskGrid, verify_functional
+        from mathieu_geom.params import ParamSet
+
+        for name, functional in (("starlike", "Starlike"), ("ratio-halfplane", "RatioHalfPlane")):
+            _, out, _ = run(capsys, "verify", "--functional", name,
+                            "--family", "F", "--mu", "1", "--r", "0.9",
+                            "--radii", "16", "--angles", "64", "--format", "json")
+            data = json.loads(out)
+            rep = verify_functional(functional, "F", ParamSet(1.0, 0.9), DiskGrid(16, 64))
+            assert (data["m"], data["discretisation_bound"], data["lower_bound"], data["winding"]) == \
+                (rep.m, rep.discretisation_bound, rep.lower_bound, rep.winding)
+            assert data["m"] >= 64 and data["discretisation_bound"] > 0.0
+        assert rep.winding is None  # only Starlike counts the winding of f/z
+
+    def test_inconclusive_functional_exits_3(self, capsys):
+        # above 1/2 by 6e-6, while the dip bound at 2^20 circle points is 1e-5
+        code, out, _ = run(capsys, "verify", "--functional", "deriv-halfplane",
+                           "--family", "F", "--mu", "0.5", "--r", "0.84367",
+                           "--max-radius", "0.999", "--format", "json")
+        data = json.loads(out)
+        assert code == 3
+        assert data["status"] == "Inconclusive" and data["m"] == 2**20
+        assert data["lower_bound"] < 0.5 < data["min_value"]
+
     def test_inequality(self, capsys):
         code, out, _ = run(capsys, "verify", "--inequality", "eq-frac-ineq",
                            "--samples", "2000", "--format", "json")
