@@ -12,10 +12,9 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 
-from .criteria import CriterionReport, Status, check_goodman, run_criterion
+from .criteria import CRITERIA, CriterionReport, Status, check_goodman, run_criterion
 from .diskcheck import (
     DiskGrid,
     DiskReport,
@@ -24,7 +23,7 @@ from .diskcheck import (
     dump_grid_csv,
     verify_functional,
 )
-from .explorer import records_to_csv, records_to_json, sweep, theorem_matrix
+from .explorer import record_to_dict, sweep, theorem_matrix
 from .params import MathieuGeomError, ParamSet
 from .series import (
     CoefficientSeq,
@@ -35,43 +34,20 @@ from .series import (
 )
 from .thresholds import (
     INEQUALITY_CASES,
-    MU_MIN,
     ThresholdKind,
+    hypothesis_pairs,
     threshold,
     verify_inequality,
 )
 
-_FUNCTIONAL_NAMES = {
-    "ratio-halfplane": Functional.RATIO_HALFPLANE,
-    "deriv-halfplane": Functional.DERIV_HALFPLANE,
-    "starlike": Functional.STARLIKE,
-    "close-to-convex": Functional.CLOSE_TO_CONVEX,
-}
-
-_CRITERION_NAMES = ["ozaki", "fejer-starlike", "fejer-halfplane",
-                    "fejer-halfplane-deriv", "goodman"]
-
-_COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
-    r"(?P<im>[+-]\d*(?:\.\d*)?(?:[eE][+-]?\d+)?)i$"
-)
+_FUNCTIONAL_NAMES = {f.name.lower().replace("_", "-"): f for f in Functional}
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' (optional signs); plain 'a' and 'bi' also accepted."""
-    text = text.strip().replace(" ", "")
-    if text.endswith("i"):
-        m = _COMPLEX_RE.match(text)
-        if m:
-            im = m.group("im")
-            if im in ("+", "-"):
-                im += "1"
-            return complex(float(m.group("re")), float(im))
-        body = text[:-1]
-        if body in ("", "+", "-"):
-            body += "1"
-        return complex(0.0, float(body))
-    return complex(float(text), 0.0)
+    """Parse Python complex syntax, with a trailing i also read as j:
+    'a+bi', 'a', 'bi', '-i'; spaces are ignored."""
+    text = text.replace(" ", "")
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _seq_from_flags(args) -> CoefficientSeq:
@@ -84,11 +60,12 @@ def _seq_from_flags(args) -> CoefficientSeq:
 
 
 def _grid_from_flags(args) -> DiskGrid:
-    return DiskGrid(args.radii, args.angles, args.max_radius)
+    # only verify shapes the interior lattice; elsewhere it never changes a verdict
+    return DiskGrid(getattr(args, "radii", DiskGrid.n_radii), args.angles, args.max_radius)
 
 
-def _emit(payload: dict, rows: list[dict], args) -> None:
-    """Render one result: json dict, csv rows, or human key: value lines."""
+def _emit(payload: dict | list, rows: list[dict], args) -> None:
+    """Render one result: json payload, csv rows, or human key: value lines."""
     fmt = args.format
     if fmt == "json":
         out = json.dumps(payload, indent=2)
@@ -165,9 +142,7 @@ def cmd_eval(args) -> int:
         return 0
     if args.z is None:
         raise MathieuGeomError("power-series families require --z")
-    seq = _seq_from_flags(args)
-    z = parse_complex(args.z)
-    res = eval_series(seq, z, args.tol)
+    res = eval_series(_seq_from_flags(args), parse_complex(args.z), args.tol)
     payload = {
         "value_re": res.value.real,
         "value_im": res.value.imag,
@@ -191,12 +166,9 @@ def cmd_verify(args) -> int:
         raise MathieuGeomError(
             "choose exactly one of --criterion, --functional, --inequality")
     if args.criterion:
-        seq = _seq_from_flags(args)
-        rep = run_criterion(args.criterion, seq, args.terms)
+        rep = run_criterion(args.criterion, _seq_from_flags(args), args.terms)
         payload = criterion_report_dict(rep)
-        _emit(payload, [payload], args)
-        return _status_exit(rep.status)
-    if args.functional:
+    elif args.functional:
         seq = _seq_from_flags(args)
         grid = _grid_from_flags(args)
         functional = _FUNCTIONAL_NAMES[args.functional]
@@ -204,10 +176,9 @@ def cmd_verify(args) -> int:
         if args.dump_grid:
             dump_grid_csv(functional, seq, None, grid, args.dump_grid)
         payload = disk_report_dict(rep)
-        _emit(payload, [payload], args)
-        return _status_exit(rep.status)
-    rep = verify_inequality(args.inequality, args.samples, args.seed)
-    payload = criterion_report_dict(rep)
+    else:
+        rep = verify_inequality(args.inequality, args.samples, args.seed)
+        payload = criterion_report_dict(rep)
     _emit(payload, [payload], args)
     return _status_exit(rep.status)
 
@@ -219,32 +190,24 @@ def _parse_kinds(text: str) -> list[ThresholdKind]:
     return [ThresholdKind(k) for k in text.split(",")]
 
 
+def _parse_mu_grid(args) -> list[float]:
+    return [float(m) for m in args.mu_grid.split(",")]
+
+
 def cmd_thresholds(args) -> int:
-    kinds = _parse_kinds(args.kinds)
-    mu_grid = [float(m) for m in args.mu_grid.split(",")]
-    rows = []
-    for kind in kinds:
-        for mu in mu_grid:
-            if mu < MU_MIN.get(kind, 0.0):
-                continue
-            rows.append({"kind": kind.value, "mu": mu,
-                         "sufficient_r": threshold(kind, mu)})
+    pairs = hypothesis_pairs(_parse_kinds(args.kinds), _parse_mu_grid(args))
+    rows = [{"kind": kind.value, "mu": mu, "sufficient_r": threshold(kind, mu)}
+            for kind, mu in pairs]
     _emit({"thresholds": rows}, rows, args)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    kinds = _parse_kinds(args.kinds)
-    mu_grid = [float(m) for m in args.mu_grid.split(",")]
-    grid = _grid_from_flags(args)
-    records = sweep(kinds, mu_grid, probe=args.probe, r_hi=args.r_hi,
-                    tol=args.tol, n_terms=args.terms, grid=grid)
-    out = records_to_json(records) if args.format == "json" else records_to_csv(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out if out.endswith("\n") else out + "\n")
-    else:
-        print(out, end="" if out.endswith("\n") else "\n")
+    records = sweep(_parse_kinds(args.kinds), _parse_mu_grid(args), probe=args.probe,
+                    r_hi=args.r_hi, tol=args.tol, n_terms=args.terms,
+                    grid=_grid_from_flags(args))
+    rows = [record_to_dict(rec) for rec in records]
+    _emit(rows, rows, args)
     return 0
 
 
@@ -269,10 +232,9 @@ def cmd_examples(args) -> int:
 
 
 def cmd_theorems(args) -> int:
-    mu_grid = [float(m) for m in args.mu_grid.split(",")]
     levels = ("sequence", "disk") if args.level == "both" else (args.level,)
-    grid = _grid_from_flags(args)
-    rows = theorem_matrix(mu_grid, n_terms=args.terms, grid=grid, levels=levels)
+    rows = theorem_matrix(_parse_mu_grid(args), n_terms=args.terms,
+                          grid=_grid_from_flags(args), levels=levels)
     if args.format == "human":
         for row in rows:
             mark = "PASS" if row["pass"] else "FAIL"
@@ -295,7 +257,6 @@ def _add_family_flags(p):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--radii", type=int, default=64, help="interior lattice radii (--dump-grid)")
     p.add_argument("--angles", type=int, default=256, help="first number of circle points")
     p.add_argument("--max-radius", type=float, default=0.995)
 
@@ -323,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one criterion/functional/inequality")
     _add_family_flags(p)
-    p.add_argument("--criterion", choices=_CRITERION_NAMES)
+    p.add_argument("--criterion", choices=list(CRITERIA))
     p.add_argument("--functional", choices=sorted(_FUNCTIONAL_NAMES))
     p.add_argument("--inequality", choices=sorted(INEQUALITY_CASES))
     p.add_argument("--terms", type=int, default=200)
@@ -331,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--dump-grid", help="CSV path for per-point functional values")
+    p.add_argument("--radii", type=int, default=64, help="interior lattice radii (--dump-grid)")
     _add_grid_flags(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_verify)
@@ -374,10 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MathieuGeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (MathieuGeomError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -334,15 +334,18 @@ def ozaki_bernoulli_margin(n: int, p: ParamSet) -> float:
     return lhs - rhs
 
 
+# CLI-friendly name -> criterion, in the order the CLI lists them
+CRITERIA = {
+    "ozaki": check_ozaki,
+    "fejer-starlike": check_fejer_starlike,
+    "fejer-halfplane": check_fejer_halfplane,
+    "fejer-halfplane-deriv": lambda s, n: check_fejer_halfplane(s, n, index_weighted=True),
+    "goodman": check_goodman,
+}
+
+
 def run_criterion(name: str, c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Dispatch a criterion by CLI-friendly name."""
-    table = {
-        "ozaki": check_ozaki,
-        "fejer-starlike": check_fejer_starlike,
-        "fejer-halfplane": check_fejer_halfplane,
-        "fejer-halfplane-deriv": lambda s, n: check_fejer_halfplane(s, n, index_weighted=True),
-        "goodman": check_goodman,
-    }
-    if name not in table:
+    if name not in CRITERIA:
         raise ConfigurationError(f"unknown criterion: {name}")
-    return table[name](c, n_terms)
+    return CRITERIA[name](c, n_terms)

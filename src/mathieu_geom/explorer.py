@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .criteria import (
     check_fejer_halfplane,
@@ -23,35 +23,21 @@ from .criteria import (
 from .diskcheck import DiskGrid, Functional, verify_functional
 from .params import CoherenceError, ConfigurationError, MathieuGeomError, ParamSet
 from .series import CoefficientSeq, Family
-from .thresholds import MU_MIN, ThresholdKind, threshold
+from .thresholds import ThresholdKind, hypothesis_pairs, threshold
 
 EXPLORE_TERMS = 500  # larger than the verification default, to reduce
                      # false "no failure" plateaus
 DEFAULT_BISECT_TOL = 1e-6
 
-# kind -> (family, sequence probe, disk functional)
-_SEQ_PROBES = {
-    ThresholdKind.F_CLOSE_TO_CONVEX: (Family.F, lambda c, n: check_ozaki(c, n)),
-    ThresholdKind.F_STARLIKE: (Family.F, lambda c, n: check_fejer_starlike(c, n)),
-    ThresholdKind.F_HALFPLANE_RATIO: (Family.F, lambda c, n: check_fejer_halfplane(c, n)),
-    ThresholdKind.F_HALFPLANE_DERIV: (
-        Family.F, lambda c, n: check_fejer_halfplane(c, n, index_weighted=True)),
-    ThresholdKind.Q_CLOSE_TO_CONVEX: (Family.Q, lambda c, n: check_ozaki(c, n)),
-    ThresholdKind.Q_STARLIKE: (Family.Q, lambda c, n: check_fejer_starlike(c, n)),
-    ThresholdKind.Q_HALFPLANE_RATIO: (Family.Q, lambda c, n: check_fejer_halfplane(c, n)),
-    ThresholdKind.Q_HALFPLANE_DERIV: (
-        Family.Q, lambda c, n: check_fejer_halfplane(c, n, index_weighted=True)),
-}
-
-_DISK_FUNCTIONALS = {
-    ThresholdKind.F_CLOSE_TO_CONVEX: Functional.CLOSE_TO_CONVEX,
-    ThresholdKind.F_STARLIKE: Functional.STARLIKE,
-    ThresholdKind.F_HALFPLANE_RATIO: Functional.RATIO_HALFPLANE,
-    ThresholdKind.F_HALFPLANE_DERIV: Functional.DERIV_HALFPLANE,
-    ThresholdKind.Q_CLOSE_TO_CONVEX: Functional.CLOSE_TO_CONVEX,
-    ThresholdKind.Q_STARLIKE: Functional.STARLIKE,
-    ThresholdKind.Q_HALFPLANE_RATIO: Functional.RATIO_HALFPLANE,
-    ThresholdKind.Q_HALFPLANE_DERIV: Functional.DERIV_HALFPLANE,
+# property (the part of a kind's value after the family) -> (sequence
+# criterion, disk functional).  The lambdas look the criteria up by this
+# module's names at call time.
+_PROBES = {
+    "CloseToConvex": (lambda c, n: check_ozaki(c, n), Functional.CLOSE_TO_CONVEX),
+    "Starlike": (lambda c, n: check_fejer_starlike(c, n), Functional.STARLIKE),
+    "HalfPlaneRatio": (lambda c, n: check_fejer_halfplane(c, n), Functional.RATIO_HALFPLANE),
+    "HalfPlaneDeriv": (lambda c, n: check_fejer_halfplane(c, n, index_weighted=True),
+                       Functional.DERIV_HALFPLANE),
 }
 
 
@@ -75,14 +61,13 @@ def probe_passes(
     grid: DiskGrid | None = None,
 ) -> bool:
     """Run the paired criterion/functional for one (kind, mu, r)."""
-    kind = ThresholdKind(kind)
-    family, seq_probe = _SEQ_PROBES[kind]
+    family, prop = ThresholdKind(kind).value.split("_")
+    criterion, functional = _PROBES[prop]
     p = ParamSet(mu, r)
     if probe == "sequence":
-        return seq_probe(CoefficientSeq(family, p), n_terms).ok
+        return criterion(CoefficientSeq(family, p), n_terms).ok
     if probe == "disk":
-        grid = grid or DiskGrid()
-        return verify_functional(_DISK_FUNCTIONALS[kind], family, p, grid).holds
+        return verify_functional(functional, Family(family), p, grid or DiskGrid()).holds
     raise ConfigurationError(f"unknown probe: {probe}")
 
 
@@ -131,17 +116,14 @@ def theorem_matrix(mu_grid, n_terms=200, grid=None, levels=("sequence", "disk"))
     threshold, checked at the sequence and/or disk level."""
     grid = grid or DiskGrid()
     rows = []
-    for kind in ThresholdKind:
-        for mu in mu_grid:
-            if mu < MU_MIN.get(kind, 0.0):
-                continue
-            r = 0.99 * threshold(kind, mu)
-            row = {"kind": kind.value, "mu": mu, "r": r}
-            for level in levels:
-                row[level] = probe_passes(kind, mu, r, probe=level,
-                                          n_terms=n_terms, grid=grid)
-            row["pass"] = all(row[level] for level in levels)
-            rows.append(row)
+    for kind, mu in hypothesis_pairs(ThresholdKind, mu_grid):
+        r = 0.99 * threshold(kind, mu)
+        row = {"kind": kind.value, "mu": mu, "r": r}
+        for level in levels:
+            row[level] = probe_passes(kind, mu, r, probe=level,
+                                      n_terms=n_terms, grid=grid)
+        row["pass"] = all(row[level] for level in levels)
+        rows.append(row)
     return rows
 
 
@@ -179,31 +161,16 @@ def sweep(
     return records
 
 
-CSV_COLUMNS = ["kind", "mu", "sufficient_r", "empirical_r", "gap", "probe", "status"]
-
-
 def record_to_dict(rec: ThresholdRecord) -> dict:
-    return {
-        "kind": rec.kind.value,
-        "mu": rec.mu,
-        "sufficient_r": rec.sufficient_r,
-        "empirical_r": rec.empirical_r,
-        "gap": rec.gap,
-        "probe": rec.probe,
-        "status": rec.status,
-    }
+    return {**asdict(rec), "kind": rec.kind.value}
 
 
 def records_to_csv(records) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        d = record_to_dict(rec)
-        writer.writerow([
-            d["kind"], repr(d["mu"]), repr(d["sufficient_r"]),
-            repr(d["empirical_r"]), repr(d["gap"]), d["probe"], d["status"],
-        ])
+    writer = csv.DictWriter(buf, [f.name for f in fields(ThresholdRecord)],
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(map(record_to_dict, records))
     return buf.getvalue()
 
 

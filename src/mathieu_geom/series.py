@@ -103,6 +103,8 @@ class SequenceBase:
         return float(self.log_values_at(np.array([n]))[0])
 
     def prefix(self, n_terms: int) -> list[tuple[int, float, float]]:
+        if n_terms < 1:
+            raise ParameterDomainError(f"n_terms must be >= 1, got {n_terms}")
         logs = self.log_values(n_terms)
         vals = np.exp(logs)
         return [(i + 1, float(vals[i]), float(logs[i])) for i in range(n_terms)]
@@ -257,7 +259,7 @@ def eval_series(
         raise ParameterDomainError(f"n_max must be >= 1, got {n_max}")
     z = complex(z)
     rho = abs(z)
-    if rho >= 1.0:
+    if not rho < 1.0:  # also NaN
         raise EvalDomainError(f"|z| must be < 1, got |z| = {rho}")
     if rho == 0.0:
         return EvalResult(0j, 0, 0.0)

@@ -52,34 +52,32 @@ MU_MIN = {
     ThresholdKind.Q_HALFPLANE_DERIV: 2.0,
 }
 
-SQRT_MU_KINDS = frozenset({
-    ThresholdKind.F_CLOSE_TO_CONVEX,
-    ThresholdKind.Q_CLOSE_TO_CONVEX,
-    ThresholdKind.Q_STARLIKE,
-    ThresholdKind.Q_HALFPLANE_RATIO,
-    ThresholdKind.Q_HALFPLANE_DERIV,
-})
-
-
-def threshold(kind: ThresholdKind | str, mu: float, strict: bool = True) -> float:
+def threshold(kind: ThresholdKind | str, mu: float) -> float:
     """Closed-form sufficient radius for the given property and mu.
 
-    With strict=True (default), mu below the hypothesis minimum raises;
-    strict=False evaluates the formula anyway for exploration outside
-    the theorem hypotheses.
+    mu must be finite, > 0 and at least the kind's hypothesis minimum.
     """
     kind = ThresholdKind(kind)
-    mu_min = MU_MIN.get(kind, 0.0)
+    if not mu < math.inf:  # NaN or +inf
+        raise HypothesisError(f"mu must be finite, got {mu}")
     if mu <= 0:
         raise HypothesisError(f"mu must be > 0, got {mu}")
-    if strict and mu < mu_min:
+    mu_min = MU_MIN.get(kind, 0.0)
+    if mu < mu_min:
         raise HypothesisError(f"{kind.value} requires mu >= {mu_min}, got {mu}")
-    if kind in SQRT_MU_KINDS:
-        return math.sqrt(mu)
     if kind in (ThresholdKind.F_STARLIKE, ThresholdKind.F_HALFPLANE_DERIV):
         return math.sqrt((5.0 * mu + 3.0 - math.sqrt(17.0 * mu * mu + 26.0 * mu + 9.0)) / 2.0)
-    # F_HALFPLANE_RATIO
-    return math.sqrt((2.0 * mu + 1.0) / 3.0)
+    if kind is ThresholdKind.F_HALFPLANE_RATIO:
+        return math.sqrt((2.0 * mu + 1.0) / 3.0)
+    return math.sqrt(mu)  # F close-to-convex and every Q kind
+
+
+def hypothesis_pairs(kinds, mu_grid) -> list[tuple[ThresholdKind, float]]:
+    """(kind, mu) pairs of kinds x mu_grid, kind-major, minus those whose mu
+    is below the kind's MU_MIN.  Only that rule drops a pair: a NaN or
+    non-positive mu is kept for `threshold` to reject."""
+    return [(kind, mu) for kind in kinds for mu in mu_grid
+            if not mu < MU_MIN.get(kind, 0.0)]
 
 
 def f_decrease_only_radius(mu: float) -> float:
@@ -165,13 +163,18 @@ def trigamma_bound_check(x: float) -> bool:
 # --- auxiliary functions of the factorial-family convexity proofs ----------
 
 
-def _bracket_terms(x: float, p: ParamSet):
-    """Common scaled quantities: u = r^2/Gamma(x+1)^2, c1 = 2mu+1,
-    psi = psi(x+1), psi1 = psi'(x+1), log_g = log Gamma(x+1)."""
+def _log_gamma_u(x: float, p: ParamSet) -> tuple[float, float]:
+    """log_g = log Gamma(x+1) and u = r^2/Gamma(x+1)^2."""
     if not (x > 0):
         raise ParameterDomainError(f"x must be > 0, got {x}")
     log_g = math.lgamma(x + 1.0)
     u = math.exp(2.0 * (math.log(p.r) - log_g)) if math.log(p.r) - log_g > -350 else 0.0
+    return log_g, u
+
+
+def _bracket_terms(x: float, p: ParamSet):
+    """log_g and u of `_log_gamma_u`, c1 = 2mu+1, psi(x+1) and psi'(x+1)."""
+    log_g, u = _log_gamma_u(x, p)
     return log_g, u, 2.0 * p.mu + 1.0, digamma(x + 1.0), trigamma(x + 1.0)
 
 
@@ -216,7 +219,7 @@ def A_tilde_of_x(x: float, p: ParamSet) -> float:
 def g_of_x(x: float, p: ParamSet) -> float:
     """g(x) = x Gamma(x+1) (1+r^2)^(mu+1) / (Gamma(x+1)^2+r^2)^(mu+1);
     interpolates the index-weighted factorial-family coefficients n C_n."""
-    log_g, u, _, _, _ = _bracket_terms(x, p)
+    log_g, u = _log_gamma_u(x, p)
     log_val = (math.log(x) + log_g
                + (p.mu + 1.0) * (math.log1p(p.r ** 2) - (2.0 * log_g + math.log1p(u))))
     return math.exp(log_val)
@@ -225,7 +228,7 @@ def g_of_x(x: float, p: ParamSet) -> float:
 def g_second_derivative(x: float, p: ParamSet) -> float:
     """g''(x) assembled from A(x); cross-checked in tests against a
     finite difference of g."""
-    log_g, u, _, _, _ = _bracket_terms(x, p)
+    log_g, u = _log_gamma_u(x, p)
     a_val = A_of_x(x, p)
     if a_val == 0.0:
         return 0.0
@@ -254,12 +257,12 @@ def phi_of_x(x: float, p: ParamSet) -> float:
     return x ** 4 * (mu + 2.0 * mu * mu) - x * x * (3.0 + 5.0 * mu) * r * r + r ** 4
 
 
-def phi_convexity_check(p: ParamSet, n_samples: int = 500) -> bool:
-    """phi(1) >= 0 and phi'(x) >= 0 sampled on x in [1, 50]."""
+def phi_convexity_check(p: ParamSet) -> bool:
+    """phi(1) >= 0 and phi'(x) >= 0 sampled at 500 points of x in [1, 50]."""
     if phi_of_x(1.0, p) < -1e-12 * max(1.0, p.r ** 4):
         return False
     mu, r = p.mu, p.r
-    x = np.linspace(1.0, 50.0, n_samples)
+    x = np.linspace(1.0, 50.0, 500)
     dphi = 4.0 * x ** 3 * (2.0 * mu * mu + mu) - 2.0 * (3.0 + 5.0 * mu) * r * r * x
     return bool(np.all(dphi >= -1e-12 * np.maximum(1.0, np.abs(dphi))))
 
@@ -446,11 +449,10 @@ def verify_inequality(
     case: InequalityCase | str,
     samples: int = 10**5,
     seed: int = 0,
-    slack: float = 1e-12,
 ) -> CriterionReport:
     """Search the constraint box of one ledger inequality for a
     counterexample.  Verified means no sampled margin fell at or below
-    -slack; a NaN margin makes the result Inconclusive, located at the
+    -1e-12; a NaN margin makes the result Inconclusive, located at the
     first NaN.  The minimum margin and its location are always reported.
     """
     if isinstance(case, str):
@@ -473,7 +475,7 @@ def verify_inequality(
         status = Status.INCONCLUSIVE
         found = f"margin NaN at {n_nan} of {len(coords)} points, first at {argmin_point}"
     else:
-        status = Status.VERIFIED if min_margin > -slack else Status.FALSIFIED
+        status = Status.VERIFIED if min_margin > -1e-12 else Status.FALSIFIED
         found = f"min margin at {argmin_point}"
     corners = 2 ** len(case.dims)
     return CriterionReport(

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import mathieu_geom
-from mathieu_geom.cli import main, parse_complex, theorem_matrix
+from mathieu_geom.cli import _FUNCTIONAL_NAMES, main, parse_complex, theorem_matrix
+from mathieu_geom.explorer import records_to_csv, records_to_json, sweep
+from mathieu_geom.thresholds import MU_MIN, ThresholdKind, threshold
 
 
 def run(capsys, *argv):
@@ -30,6 +32,8 @@ class TestParseComplex:
         ("-i", -1j),
         ("1e-2+1e-3i", 0.01 + 0.001j),
         (" 0.1 + 0.2i ", 0.1 + 0.2j),
+        ("1+2j", 1 + 2j),
+        ("-j", -1j),
     ])
     def test_accepted(self, text, expected):
         assert parse_complex(text) == expected
@@ -62,6 +66,13 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["value_re"] == 0.0
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "nan+0.1i"])
+    def test_non_finite_point_exits_2(self, capsys, z):
+        code, _, err = run(capsys, "eval", "--family", "F", "--mu", "1",
+                           "--r", "1", f"--z={z}")
+        assert code == 2
+        assert "|z| must be < 1" in err
+
     def test_missing_z_exits_2(self, capsys):
         code, *_ = run(capsys, "eval", "--family", "F", "--mu", "1", "--r", "1")
         assert code == 2
@@ -77,6 +88,14 @@ class TestEval:
     def test_S_requires_r(self, capsys):
         code, *_ = run(capsys, "eval", "--family", "S")
         assert code == 2
+
+
+class TestCoeffs:
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_empty_prefix_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "coeffs", "--family", "SHat", f"--n={n}")
+        assert code == 2
+        assert out == "" and "n_terms must be >= 1" in err
 
 
 class TestVerify:
@@ -198,6 +217,23 @@ class TestThresholdsAndSweep:
         assert exc_info.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kinds", "F_Starlike", "--mu-grid", "1"],
+        ["theorems", "--mu-grid", "1", "--level", "sequence"],
+    ])
+    def test_radii_only_on_verify(self, capsys, argv):
+        # no sweep or theorem verdict reads the interior lattice
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--radii", "16"])
+        assert exc_info.value.code == 2
+        assert "--radii" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu_grid", ["nan", "1,inf"])
+    def test_thresholds_non_finite_mu_exits_2(self, capsys, mu_grid):
+        code, out, err = run(capsys, "thresholds", "--mu-grid", mu_grid)
+        assert code == 2
+        assert out == "" and "mu must be finite" in err
+
     def test_sweep_default_kinds_all(self, capsys):
         code, out, _ = run(capsys, "sweep", "--kinds", "all", "--mu-grid", "1",
                            "--format", "json")
@@ -279,3 +315,36 @@ class TestColdImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+
+class TestDerivedTables:
+    """The CLI's names and rows come from the library's tables; the
+    benchmark's command pools rely on these exact names."""
+
+    def test_help_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert set(_FUNCTIONAL_NAMES) == {"ratio-halfplane", "deriv-halfplane",
+                                          "starlike", "close-to-convex"}
+        assert "--functional {close-to-convex,deriv-halfplane,ratio-halfplane,starlike}" in out
+        assert ("--criterion {ozaki,fejer-starlike,fejer-halfplane,"
+                "fejer-halfplane-deriv,goodman}") in out
+
+    @pytest.mark.parametrize("fmt,render", [("csv", records_to_csv), ("json", records_to_json)])
+    def test_sweep_prints_the_records(self, capsys, fmt, render):
+        kinds, mu_grid = ["F_Starlike", "Q_Starlike"], [1.0, 2.0]
+        code, out, _ = run(capsys, "sweep", "--kinds", ",".join(kinds),
+                           "--mu-grid", "2,1", "--format", fmt)
+        assert code == 0
+        assert out == render(sweep(kinds, mu_grid)).rstrip("\n") + "\n"
+
+    def test_thresholds_prints_the_threshold_rows(self, capsys):
+        rows = [{"kind": k.value, "mu": mu, "sufficient_r": threshold(k, mu)}
+                for k in ThresholdKind for mu in (0.5, 2.0) if not mu < MU_MIN.get(k, 0.0)]
+        _, out, _ = run(capsys, "thresholds", "--mu-grid", "0.5,2", "--format", "json")
+        assert json.loads(out) == {"thresholds": rows}
+        _, out, _ = run(capsys, "thresholds", "--mu-grid", "0.5,2", "--format", "csv")
+        lines = out.splitlines()
+        assert lines[0] == "kind,mu,sufficient_r"
+        assert lines[1:] == [f"{r['kind']},{r['mu']!r},{r['sufficient_r']!r}" for r in rows]

@@ -88,6 +88,11 @@ class TestCoefficients:
         with pytest.raises(ParameterDomainError):
             coeff_F(0, ParamSet(1.0, 1.0))
 
+    @pytest.mark.parametrize("n_terms", [0, -3])
+    def test_empty_prefix_is_a_domain_error(self, n_terms):
+        with pytest.raises(ParameterDomainError):
+            CoefficientSeq(Family.SHAT).prefix(n_terms)
+
 
 class TestEvalSeries:
     def test_zero_point(self):
@@ -126,6 +131,13 @@ class TestEvalSeries:
             eval_series(seq, 1.5)
         with pytest.raises(EvalDomainError):
             eval_series(seq, complex(0.8, 0.8))
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_point_is_a_domain_error(self, z):
+        # a NaN modulus fails every comparison; it must not reach the sum
+        seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
+        with pytest.raises(EvalDomainError):
+            eval_series(seq, z)
 
     def test_truncation_error_carries_partial(self):
         seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))

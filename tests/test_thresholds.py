@@ -29,6 +29,7 @@ from mathieu_geom.thresholds import (
     g_second_derivative,
     h_diff,
     h_tilde_diff,
+    hypothesis_pairs,
     phi_convexity_check,
     phi_of_x,
     psi_bounds_check,
@@ -79,8 +80,6 @@ class TestThresholdValues:
             threshold("Q_Starlike", 1.0)
         with pytest.raises(HypothesisError):
             threshold("Q_HalfPlaneDeriv", 1.9)
-        # exploration flag evaluates the formula anyway
-        assert threshold("Q_Starlike", 1.0, strict=False) == 1.0
         assert threshold(ThresholdKind.Q_STARLIKE, 2.0) == math.sqrt(2.0)
 
     def test_invalid_mu(self):
@@ -88,6 +87,20 @@ class TestThresholdValues:
             threshold("F_Starlike", 0.0)
         with pytest.raises(HypothesisError):
             threshold("F_Starlike", -1.0)
+
+    @pytest.mark.parametrize("kind", list(ThresholdKind))
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu(self, kind, mu):
+        with pytest.raises(HypothesisError):
+            threshold(kind, mu)
+
+    def test_hypothesis_pairs_skip_only_below_minimum(self):
+        pairs = hypothesis_pairs(ThresholdKind, [1.0, 2.0, math.nan])
+        assert len(pairs) == 8 * 3 - 2
+        assert (ThresholdKind.Q_STARLIKE, 1.0) not in pairs
+        assert (ThresholdKind.Q_STARLIKE, 2.0) in pairs
+        # NaN is not below any minimum: it is kept for threshold to reject
+        assert sum(math.isnan(mu) for _, mu in pairs) == 8
 
     def test_decrease_only_radius(self):
         assert f_decrease_only_radius(1.0) == pytest.approx(math.sqrt(3.0))
