@@ -16,10 +16,7 @@ from .diskcheck import (
     DiskReport,
     DiskStatus,
     Functional,
-    verify_close_to_convex,
-    verify_deriv_halfplane,
-    verify_ratio_halfplane,
-    verify_starlike,
+    verify_functional,
 )
 from .explorer import ThresholdRecord, bisect_failure_r, sweep
 from .params import MathieuGeomError, ParamSet
@@ -29,9 +26,6 @@ from .series import (
     Family,
     FunctionSequence,
     ZETA3,
-    coeff_F,
-    coeff_Q,
-    coeff_example,
     eval_S,
     eval_S_integral,
     eval_series,

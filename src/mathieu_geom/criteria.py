@@ -27,7 +27,7 @@ from .params import (
     ParameterDomainError,
     comparison_slack,
 )
-from .series import CoefficientSeq, Family
+from .series import CoefficientSeq, Family, SequenceBase
 
 DEFAULT_TERMS = 200
 _UNDERFLOW = 1e-280
@@ -73,9 +73,18 @@ class CriterionReport:
         return self.status is Status.VERIFIED
 
 
-def _require_normalized(vals: np.ndarray) -> None:
+def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool):
+    """(t, log t) for n <= N from one read of a normalized sequence: t_n =
+    n a_n if weighted, else a_n."""
+    if n_terms < least:
+        raise ParameterDomainError(f"N must be >= {least}, got {n_terms}")
+    vals, logs = c.read(n_terms)
     if abs(vals[0] - 1.0) > 1e-12:
         raise NormalizationError(f"sequence is not normalized: a_1 = {vals[0]}")
+    if not weighted:
+        return vals, logs
+    n = np.arange(1, n_terms + 1)
+    return n * vals, logs + np.log(n)
 
 
 def _chain_scan(lhs: np.ndarray, rhs: np.ndarray,
@@ -120,13 +129,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
 
     A Verified report names the branch in ``detail``.
     """
-    if n_terms < 3:
-        raise ParameterDomainError(f"N must be >= 3, got {n_terms}")
-    n = np.arange(1, n_terms + 1)
-    vals = c.values(n_terms)
-    _require_normalized(vals)
-    logs = c.log_values(n_terms) + np.log(n)
-    t = n * vals  # t_1 = 1 by normalization
+    t, logs = _prefix(c, n_terms, 3, weighted=True)  # t_1 = 1 by normalization
 
     # decreasing branch: t non-increasing and t_N >= 0
     dec_margin, dec_witness = _chain_scan(t[:-1], t[1:], logs[:-1], logs[1:])
@@ -169,13 +172,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
 def check_fejer_starlike(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Fejer starlikeness: {n a_n} and {n a_n - (n+1) a_{n+1}} both
     non-increasing."""
-    if n_terms < 3:
-        raise ParameterDomainError(f"N must be >= 3, got {n_terms}")
-    n = np.arange(1, n_terms + 1)
-    vals = c.values(n_terms)
-    _require_normalized(vals)
-    logs = c.log_values(n_terms) + np.log(n)
-    t = n * vals
+    t, logs = _prefix(c, n_terms, 3, weighted=True)
 
     m1, w1 = _chain_scan(t[:-1], t[1:], logs[:-1], logs[1:])
     d = t[:-1] - t[1:]
@@ -201,15 +198,7 @@ def check_fejer_halfplane(
     With index_weighted=True the check applies to {n a_n} (the
     derivative-series coefficients) instead of {a_n}.
     """
-    if n_terms < 3:
-        raise ParameterDomainError(f"N must be >= 3, got {n_terms}")
-    n = np.arange(1, n_terms + 1)
-    vals = c.values(n_terms)
-    _require_normalized(vals)
-    logs = c.log_values(n_terms)
-    if index_weighted:
-        vals = n * vals
-        logs = logs + np.log(n)
+    vals, logs = _prefix(c, n_terms, 3, index_weighted)
 
     neg_margin = float(np.min(vals))
     neg_witness = None
@@ -267,12 +256,7 @@ def check_goodman(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionR
     The partial sum over n <= N is completed with a family-specific
     rigorous tail majorant; without one the result is Inconclusive.
     """
-    if n_terms < 2:
-        raise ParameterDomainError(f"N must be >= 2, got {n_terms}")
-    n = np.arange(1, n_terms + 1)
-    vals = c.values(n_terms)
-    _require_normalized(vals)
-    weighted = n * vals
+    weighted, _ = _prefix(c, n_terms, 2, weighted=True)
     partial = float(np.sum(weighted[1:]))
 
     if partial >= 1.0:

@@ -4,7 +4,7 @@ stay above a bound on the closed disk |z| <= rho:
 * RatioHalfPlane:  Re(f(z)/z)        must stay above 1/2
 * DerivHalfPlane:  Re(f'(z))         must stay above 1/2
 * Starlike:        Re(z f'(z)/f(z))  must stay above 0
-* CloseToConvex:   Re((1-z) f'(z))   must stay above 0
+* CloseToConvex:   Re((1-z) f'(z))   must stay above 0 (against z/(1-z))
 
 Each is the real part of a function analytic on |z| <= rho (for Starlike
 while f/z has no zero there), so its minimum lies on |z| = rho.  Samples at
@@ -102,10 +102,7 @@ class DiskReport:
 
 
 def as_sequence(family: Union[SequenceBase, Family, str], p: Optional[ParamSet] = None) -> SequenceBase:
-    if isinstance(family, SequenceBase):
-        return family
-    fam = Family(family)
-    return CoefficientSeq(fam, p) if fam in (Family.F, Family.Q) else CoefficientSeq(fam)
+    return family if isinstance(family, SequenceBase) else CoefficientSeq(family, p)
 
 
 def _turn(num, den: int):
@@ -252,27 +249,6 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
             continue
         return DiskReport(functional, min_value, argmin, grid, status, bound, terms, tail_bound,
                           m, disc, lower, winding if starlike else None)
-
-
-def verify_ratio_halfplane(family, p=None, grid=None, tolerance=DEFAULT_TOLERANCE) -> DiskReport:
-    """Re(f(z)/z) > 1/2 on the disk."""
-    return verify_functional(Functional.RATIO_HALFPLANE, family, p, grid, tolerance)
-
-
-def verify_deriv_halfplane(family, p=None, grid=None, tolerance=DEFAULT_TOLERANCE) -> DiskReport:
-    """Re(f'(z)) > 1/2 on the disk."""
-    return verify_functional(Functional.DERIV_HALFPLANE, family, p, grid, tolerance)
-
-
-def verify_starlike(family, p=None, grid=None, tolerance=DEFAULT_TOLERANCE) -> DiskReport:
-    """Re(z f'(z)/f(z)) > 0 on the disk."""
-    return verify_functional(Functional.STARLIKE, family, p, grid, tolerance)
-
-
-def verify_close_to_convex(family, p=None, grid=None, tolerance=DEFAULT_TOLERANCE) -> DiskReport:
-    """Re((1-z) f'(z)) > 0 on the disk (comparison function z/(1-z),
-    rotation angle fixed to 0)."""
-    return verify_functional(Functional.CLOSE_TO_CONVEX, family, p, grid, tolerance)
 
 
 def dump_grid_csv(functional: Functional | str, family, p, grid, path) -> None:

@@ -143,7 +143,7 @@ def sweep(
     exception is a bug and propagates.
     """
     kinds = [ThresholdKind(k) for k in kinds]
-    mu_grid = sorted(float(m) for m in mu_grid)
+    mu_grid = sorted((float(m) for m in mu_grid), key=lambda m: (math.isnan(m), m))
     if not kinds or not mu_grid:
         raise ConfigurationError("kinds and mu_grid must be non-empty")
     records = []

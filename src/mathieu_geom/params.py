@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -58,16 +59,17 @@ class ConfigurationError(MathieuGeomError, ValueError):
 
 @dataclass(frozen=True)
 class ParamSet:
-    """The parameter pair (mu, r), both required to be positive."""
+    """The parameter pair (mu, r), both required to be finite and positive."""
 
     mu: float
     r: float
 
     def __post_init__(self):
-        if not (self.mu > 0):
-            raise ParameterDomainError(f"mu must be > 0, got {self.mu}")
-        if not (self.r > 0):
-            raise ParameterDomainError(f"r must be > 0, got {self.r}")
+        for name, value in (("mu", self.mu), ("r", self.r)):
+            if not value > 0:
+                raise ParameterDomainError(f"{name} must be > 0, got {value}")
+            if value == math.inf:
+                raise ParameterDomainError(f"{name} must be finite, got {value}")
 
 
 def comparison_slack(lhs: float, rhs: float) -> float:

@@ -87,27 +87,22 @@ class SequenceBase:
     def log_values_at(self, n: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def read(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+        """(values, logs) of a_1..a_N from one ``log_values_at`` pass."""
+        logs = self.log_values_at(np.arange(1, n_terms + 1))
+        return np.exp(logs), logs
+
     def values_at(self, n: np.ndarray) -> np.ndarray:
         return np.exp(self.log_values_at(n))
-
-    def log_values(self, n_terms: int) -> np.ndarray:
-        return self.log_values_at(np.arange(1, n_terms + 1))
-
-    def values(self, n_terms: int) -> np.ndarray:
-        return self.values_at(np.arange(1, n_terms + 1))
 
     def value(self, n: int) -> float:
         return float(self.values_at(np.array([n]))[0])
 
-    def log_value(self, n: int) -> float:
-        return float(self.log_values_at(np.array([n]))[0])
-
     def prefix(self, n_terms: int) -> list[tuple[int, float, float]]:
         if n_terms < 1:
             raise ParameterDomainError(f"n_terms must be >= 1, got {n_terms}")
-        logs = self.log_values(n_terms)
-        vals = np.exp(logs)
-        return [(i + 1, float(vals[i]), float(logs[i])) for i in range(n_terms)]
+        vals, logs = self.read(n_terms)
+        return list(zip(range(1, n_terms + 1), vals.tolist(), logs.tolist()))
 
 
 class CoefficientSeq(SequenceBase):
@@ -144,8 +139,8 @@ class CoefficientSeq(SequenceBase):
 
 
 class FunctionSequence(SequenceBase):
-    """Coefficient sequence a_n = fn(n) for a non-negative vectorized fn;
-    handy for synthetic fixtures like a_n = 1/n."""
+    """Coefficient sequence a_n = fn(n) for a vectorized fn, handy for
+    synthetic fixtures like a_n = 1/n; a negative a_n has log nan."""
 
     family = None
     params = None
@@ -160,32 +155,13 @@ class FunctionSequence(SequenceBase):
         return np.asarray(self.fn(n.astype(float)), dtype=float)
 
     def log_values_at(self, n: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(self.values_at(n))
 
-
-def coeff_F(n: int, p: ParamSet) -> float:
-    """n-th coefficient of the normalized F family."""
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    return CoefficientSeq(Family.F, p).value(n)
-
-
-def coeff_Q(n: int, p: ParamSet) -> float:
-    """n-th coefficient of the normalized Q (factorial) family."""
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    return CoefficientSeq(Family.Q, p).value(n)
-
-
-def coeff_example(family: Family | str, n: int) -> float:
-    """n-th coefficient of one of the two fixed example families."""
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    fam = Family(family)
-    if fam not in (Family.SHAT, Family.DOUBLE_FACTORIAL):
-        raise ParameterDomainError(f"not an example family: {fam.value}")
-    return CoefficientSeq(fam).value(n)
+    def read(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+        """The fn values as given, not exp of their logs, and the logs."""
+        n = np.arange(1, n_terms + 1)
+        return self.values_at(n), self.log_values_at(n)
 
 
 @dataclass

@@ -85,6 +85,8 @@ def f_decrease_only_radius(mu: float) -> float:
     decrease (without the convexity needed for the half-plane bound).
     Exploratory only; not a sufficient radius for any mapping property.
     """
+    if not mu < math.inf:  # NaN or +inf
+        raise HypothesisError(f"mu must be finite, got {mu}")
     if mu <= 0:
         raise HypothesisError(f"mu must be > 0, got {mu}")
     return math.sqrt(1.0 + 2.0 * mu)
@@ -239,14 +241,14 @@ def g_second_derivative(x: float, p: ParamSet) -> float:
 
 def h_diff(n: int, p: ParamSet) -> float:
     """h(n) = n C_n - (n+1) C_{n+1} for the factorial family."""
-    seq = CoefficientSeq(Family.Q, p)
-    return n * seq.value(n) - (n + 1) * seq.value(n + 1)
+    c_n, c_next = CoefficientSeq(Family.Q, p).values_at(np.array([n, n + 1]))
+    return float(n * c_n - (n + 1) * c_next)
 
 
 def h_tilde_diff(n: int, p: ParamSet) -> float:
     """h~(n) = C_n - C_{n+1} for the factorial family."""
-    seq = CoefficientSeq(Family.Q, p)
-    return seq.value(n) - seq.value(n + 1)
+    c_n, c_next = CoefficientSeq(Family.Q, p).values_at(np.array([n, n + 1]))
+    return float(c_n - c_next)
 
 
 def phi_of_x(x: float, p: ParamSet) -> float:

@@ -98,6 +98,17 @@ class TestCoeffs:
         assert out == "" and "n_terms must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--criterion", "ozaki", "--family", "F", "--mu", "1", "--r", "inf"],
+    ["eval", "--family", "F", "--mu", "inf", "--r", "1", "--z", "0.5"],
+    ["coeffs", "--family", "Q", "--mu", "1", "--r", "inf", "--n", "3"],
+])
+def test_non_finite_mu_or_r_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "must be finite" in err
+
+
 class TestVerify:
     def test_criterion_pass_and_fail_exit_codes(self, capsys):
         code_ok, out, _ = run(capsys, "verify", "--criterion", "fejer-starlike",
@@ -123,14 +134,14 @@ class TestVerify:
         assert (code == 0) == (data["status"] == "Holds")
 
     def test_functional_json_carries_series_budget(self, capsys):
-        from mathieu_geom.diskcheck import DiskGrid, verify_starlike
+        from mathieu_geom.diskcheck import DiskGrid, Functional, verify_functional
         from mathieu_geom.params import ParamSet
 
         _, out, _ = run(capsys, "verify", "--functional", "starlike",
                         "--family", "F", "--mu", "1", "--r", "0.9",
                         "--radii", "16", "--angles", "64", "--format", "json")
         data = json.loads(out)
-        rep = verify_starlike("F", ParamSet(1.0, 0.9), DiskGrid(16, 64))
+        rep = verify_functional(Functional.STARLIKE, "F", ParamSet(1.0, 0.9), DiskGrid(16, 64))
         assert (data["terms"], data["tail_bound"]) == (rep.terms, rep.tail_bound)
         assert data["terms"] >= 256 and 0.0 <= data["tail_bound"] < 1e-12
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieu_geom.criteria import (
+    CRITERIA,
     Status,
     Witness,
     _chain_scan,
@@ -18,7 +19,7 @@ from mathieu_geom.criteria import (
     fejer_kernel_sigma,
     ozaki_bernoulli_margin,
 )
-from mathieu_geom.diskcheck import DiskGrid, verify_ratio_halfplane
+from mathieu_geom.diskcheck import DiskGrid, Functional, verify_functional
 from mathieu_geom.params import (
     NormalizationError,
     ParameterDomainError,
@@ -130,7 +131,7 @@ class TestFejerHalfPlane:
         grid = DiskGrid(64, 128, 0.995)
         for seq in [INV_N, seq_F(1.0, 1.0), seq_Q(2.0, 1.0)]:
             assert check_fejer_halfplane(seq, 200).ok
-            report = verify_ratio_halfplane(seq, grid=grid)
+            report = verify_functional(Functional.RATIO_HALFPLANE, seq, grid=grid)
             assert report.min_value > 0.5 - 1e-9
 
 
@@ -156,6 +157,22 @@ class TestGoodman:
     def test_falsified_when_sum_exceeds_one(self):
         rep = check_goodman(FunctionSequence(lambda n: np.where(n <= 2, 1.0, 0.0)))
         assert rep.status is Status.FALSIFIED
+
+
+@pytest.mark.parametrize("read", [*CRITERIA.values(), lambda c, n: c.prefix(n)],
+                         ids=[*CRITERIA, "prefix"])
+def test_one_coefficient_pass_per_call(read, monkeypatch):
+    # each call reads its prefix once, through the one family coefficient producer
+    calls = []
+    original = CoefficientSeq.log_values_at
+
+    def spy(self, n):
+        calls.append(len(n))
+        return original(self, n)
+
+    monkeypatch.setattr(CoefficientSeq, "log_values_at", spy)
+    read(seq_F(1.0, 0.5), 120)
+    assert calls == [120]
 
 
 class TestFejerKernel:

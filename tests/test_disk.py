@@ -19,15 +19,12 @@ from mathieu_geom.diskcheck import (
     _fold_eval,
     _series,
     dump_grid_csv,
-    verify_close_to_convex,
-    verify_deriv_halfplane,
     verify_functional,
-    verify_ratio_halfplane,
-    verify_starlike,
 )
 from mathieu_geom.params import (
     ConfigurationError,
     DegeneratePointError,
+    ParameterDomainError,
     ParamSet,
     TruncationError,
 )
@@ -41,6 +38,12 @@ from mathieu_geom.series import (
 
 IDENTITY = FunctionSequence(lambda n: np.where(n == 1, 1.0, 0.0))
 SMALL_GRID = DiskGrid(16, 64, 0.99)
+
+
+def test_example_family_with_params_is_rejected():
+    # SHat takes no (mu, r); they are not dropped silently
+    with pytest.raises(ParameterDomainError):
+        verify_functional(Functional.RATIO_HALFPLANE, Family.SHAT, ParamSet(1.0, 1.0), SMALL_GRID)
 
 
 class TestDiskGrid:
@@ -65,21 +68,21 @@ class TestDiskGrid:
 class TestIdentityFunction:
     def test_starlike_exactly_one(self):
         # f(z) = z: z f'/f = 1 identically
-        rep = verify_starlike(IDENTITY, grid=SMALL_GRID)
+        rep = verify_functional(Functional.STARLIKE, IDENTITY, grid=SMALL_GRID)
         assert rep.holds
         assert rep.min_value == pytest.approx(1.0, abs=1e-13)
 
     def test_close_to_convex_minimum(self):
         # Re((1-z) * 1) minimized at z = max_radius on the real axis
-        rep = verify_close_to_convex(IDENTITY, grid=SMALL_GRID)
+        rep = verify_functional(Functional.CLOSE_TO_CONVEX, IDENTITY, grid=SMALL_GRID)
         assert rep.holds
         assert rep.min_value == pytest.approx(1.0 - SMALL_GRID.max_radius, abs=1e-13)
         assert rep.argmin == pytest.approx(SMALL_GRID.max_radius)
 
     def test_halfplane_functionals(self):
-        assert verify_ratio_halfplane(IDENTITY, grid=SMALL_GRID).min_value == \
+        assert verify_functional(Functional.RATIO_HALFPLANE, IDENTITY, grid=SMALL_GRID).min_value == \
             pytest.approx(1.0, abs=1e-13)
-        assert verify_deriv_halfplane(IDENTITY, grid=SMALL_GRID).min_value == \
+        assert verify_functional(Functional.DERIV_HALFPLANE, IDENTITY, grid=SMALL_GRID).min_value == \
             pytest.approx(1.0, abs=1e-13)
 
 
@@ -91,7 +94,7 @@ class TestSmallRadiusOracle:
         p = ParamSet(1.0, 1e-6)
         seq = CoefficientSeq(Family.F, p)
         grid = DiskGrid(4, 8, 0.9)
-        rep = verify_ratio_halfplane(seq, grid=grid)
+        rep = verify_functional(Functional.RATIO_HALFPLANE, seq, grid=grid)
         n = np.arange(1, 400)
         a = seq.values_at(n)
         worst = math.inf
@@ -123,7 +126,7 @@ class TestTheoremFixtures:
 
     def test_violation_far_above_threshold(self):
         # F family derivative half-plane clearly fails at r = 4 sqrt(mu)
-        rep = verify_deriv_halfplane(Family.F, ParamSet(1.0, 4.0), SMALL_GRID)
+        rep = verify_functional(Functional.DERIV_HALFPLANE, Family.F, ParamSet(1.0, 4.0), SMALL_GRID)
         assert rep.status is DiskStatus.VIOLATED
         assert rep.min_value <= 0.5 - 1e-9
 
@@ -142,7 +145,7 @@ class TestGridRobustness:
 
     def test_stability_near_boundary(self):
         seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
-        rep = verify_ratio_halfplane(seq, grid=DiskGrid(32, 64, 0.999))
+        rep = verify_functional(Functional.RATIO_HALFPLANE, seq, grid=DiskGrid(32, 64, 0.999))
         assert np.isfinite(rep.min_value)
         assert rep.holds
 
@@ -151,7 +154,7 @@ class TestGridRobustness:
         seq = FunctionSequence(
             lambda n: np.where(n == 1, 1.0, np.where(n == 2, -2.0, 0.0)))
         with pytest.raises(DegeneratePointError) as exc_info:
-            verify_starlike(seq, grid=DiskGrid(1, 4, 0.5))
+            verify_functional(Functional.STARLIKE, seq, grid=DiskGrid(1, 4, 0.5))
         assert exc_info.value.point == pytest.approx(0.5)
 
 
@@ -167,7 +170,7 @@ class TestCsvDump:
         assert len(rows) == 1 + 4 * 8
         # values parse back as floats and match the lattice minimum
         vals = [float(r[2]) for r in rows[1:]]
-        rep = verify_ratio_halfplane(Family.F, ParamSet(1.0, 1.0), grid)
+        rep = verify_functional(Functional.RATIO_HALFPLANE, Family.F, ParamSet(1.0, 1.0), grid)
         assert min(vals) == pytest.approx(rep.min_value, abs=1e-13)
 
 
@@ -194,7 +197,7 @@ class TestCircleCertificate:
         # The functional dips to -6.2e-6 near z = -0.559 - 0.823i on the rim,
         # between the points of the 64 x 256 lattice, whose least value is +6.4e-6
         p = ParamSet(1.0, 3.301644683)
-        rep = verify_close_to_convex(Family.F, p)
+        rep = verify_functional(Functional.CLOSE_TO_CONVEX, Family.F, p)
         assert rep.status is DiskStatus.VIOLATED
         assert rep.min_value < -6e-6
         assert abs(rep.argmin) == pytest.approx(DiskGrid().max_radius)
@@ -207,7 +210,7 @@ class TestCircleCertificate:
         # while Re(z f'/f) = Re((1 - 4z)/(1 - 2z)) >= 1.6 on the circle
         seq = FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, -2.0, 0.0)))
         grid = DiskGrid(64, 256, 0.9)
-        rep = verify_starlike(seq, grid=grid)
+        rep = verify_functional(Functional.STARLIKE, seq, grid=grid)
         assert rep.status is DiskStatus.VIOLATED
         assert rep.winding == 1
         assert rep.min_value < 0.0 and abs(rep.argmin) < grid.max_radius
@@ -215,10 +218,10 @@ class TestCircleCertificate:
         assert rep.min_value == pytest.approx(((1 - 4 * z) / (1 - 2 * z)).real, rel=1e-8)
 
     def test_holds_reports_zero_winding(self):
-        rep = verify_starlike(Family.F, ParamSet(1.0, 0.6), SMALL_GRID)
+        rep = verify_functional(Functional.STARLIKE, Family.F, ParamSet(1.0, 0.6), SMALL_GRID)
         assert rep.holds and rep.winding == 0
         assert rep.lower_bound > 0.0 and rep.m == SMALL_GRID.n_angles
-        assert verify_ratio_halfplane(Family.F, ParamSet(1.0, 0.6), SMALL_GRID).winding is None
+        assert verify_functional(Functional.RATIO_HALFPLANE, Family.F, ParamSet(1.0, 0.6), SMALL_GRID).winding is None
 
     @pytest.mark.parametrize("functional", list(Functional))
     def test_radii_only_shape_the_lattice(self, functional):
@@ -265,7 +268,7 @@ class TestCoefficientCap:
         seq = _geometric(-8e-5)
         coeffs, _ = truncated_coeffs(seq, 0.9999, 1e-12, _COEFF_CAP)
         assert len(coeffs) == _COEFF_CAP
-        rep = verify_ratio_halfplane(seq, grid=self.GRID)
+        rep = verify_functional(Functional.RATIO_HALFPLANE, seq, grid=self.GRID)
         # f(z)/z = 1/(1 - q z), whose real part stays above 1/2, here by
         # 4.5e-5; the dip bound at 2^20 points is still about 1.5
         assert rep.status is DiskStatus.INCONCLUSIVE
@@ -276,12 +279,12 @@ class TestCoefficientCap:
 
     def test_tail_needing_more_than_the_cap_raises(self):
         with pytest.raises(TruncationError):
-            verify_ratio_halfplane(_geometric(-6e-5), grid=self.GRID)
+            verify_functional(Functional.RATIO_HALFPLANE, _geometric(-6e-5), grid=self.GRID)
 
 
 class TestSeriesBudget:
     def test_identity_needs_one_block(self):
-        rep = verify_ratio_halfplane(IDENTITY, grid=SMALL_GRID)
+        rep = verify_functional(Functional.RATIO_HALFPLANE, IDENTITY, grid=SMALL_GRID)
         assert rep.terms == 256
         assert rep.tail_bound == 0.0
 
@@ -293,7 +296,7 @@ class TestSeriesBudget:
         cd, tail_d = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP,
                                       index_weighted=True)
         assert len(cd) > len(cp) and tail_p > tail_d
-        rep = verify_starlike(seq, grid=SMALL_GRID)
+        rep = verify_functional(Functional.STARLIKE, seq, grid=SMALL_GRID)
         assert rep.terms == len(cd)
         assert rep.tail_bound == tail_p
         assert 0.0 < rep.tail_bound < 1e-12

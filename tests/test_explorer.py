@@ -87,6 +87,13 @@ class TestSweep:
         assert math.isnan(records[0].empirical_r)
         assert records[1].status in ("ok", "no_failure_found")
 
+    def test_nan_mu_sorts_last(self):
+        records = sweep([ThresholdKind.F_CLOSE_TO_CONVEX], [2.0, math.nan, 1.0])
+        assert [r.mu for r in records[:2]] == [1.0, 2.0]
+        assert math.isnan(records[2].mu)
+        assert [r.status for r in records[:2]] == ["ok", "ok"]
+        assert records[2].status.startswith("error:")
+
     def test_unexpected_errors_propagate(self, monkeypatch):
         # a bug inside a row is not a row-local error: it must abort the sweep
         def broken(*args, **kwargs):

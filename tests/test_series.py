@@ -16,9 +16,6 @@ from mathieu_geom.series import (
     Family,
     FunctionSequence,
     ParamSet,
-    coeff_F,
-    coeff_Q,
-    coeff_example,
     eval_S,
     eval_S_integral,
     eval_series,
@@ -34,18 +31,18 @@ def brute_force_sum(seq, z, n_terms):
 
 class TestCoefficients:
     def test_coeff_F_normalization(self):
-        assert coeff_F(1, ParamSet(1.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert CoefficientSeq(Family.F, ParamSet(1.0, 1.0)).value(1) == pytest.approx(1.0, abs=1e-15)
 
     def test_coeff_F_direct_substitution(self):
         # 2 * (r^2+1)^2 / (4+r^2)^2 at mu=1
-        assert coeff_F(2, ParamSet(1.0, 1.0)) == pytest.approx(8.0 / 25.0, rel=1e-14)
+        assert CoefficientSeq(Family.F, ParamSet(1.0, 1.0)).value(2) == pytest.approx(8.0 / 25.0, rel=1e-14)
         expected = 2.0 * 1.25**2 / 4.25**2
-        assert coeff_F(2, ParamSet(1.0, 0.5)) == pytest.approx(expected, rel=1e-14)
+        assert CoefficientSeq(Family.F, ParamSet(1.0, 0.5)).value(2) == pytest.approx(expected, rel=1e-14)
 
     def test_coeff_Q_direct_substitution(self):
-        assert coeff_Q(1, ParamSet(1.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
-        assert coeff_Q(2, ParamSet(1.0, 1.0)) == pytest.approx(8.0 / 25.0, rel=1e-13)
-        assert coeff_Q(3, ParamSet(1.0, 1.0)) == pytest.approx(24.0 / 1369.0, rel=1e-13)
+        assert CoefficientSeq(Family.Q, ParamSet(1.0, 1.0)).value(1) == pytest.approx(1.0, abs=1e-15)
+        assert CoefficientSeq(Family.Q, ParamSet(1.0, 1.0)).value(2) == pytest.approx(8.0 / 25.0, rel=1e-13)
+        assert CoefficientSeq(Family.Q, ParamSet(1.0, 1.0)).value(3) == pytest.approx(24.0 / 1369.0, rel=1e-13)
 
     def test_coeff_Q_no_overflow_past_factorial_limit(self):
         # (n!)^2 overflows floats near n=86; the log path must survive
@@ -55,18 +52,18 @@ class TestCoefficients:
         assert np.all(np.diff(logs) < 0)
 
     def test_coeff_examples(self):
-        assert coeff_example("SHat", 1) == pytest.approx(1.0, abs=1e-15)
-        assert coeff_example("SHat", 2) == pytest.approx(8.0 / 125.0, rel=1e-14)
+        assert CoefficientSeq("SHat").value(1) == pytest.approx(1.0, abs=1e-15)
+        assert CoefficientSeq("SHat").value(2) == pytest.approx(8.0 / 125.0, rel=1e-14)
         # (2*2-1)!! = 3, (2*2+1)!! = 15
-        assert coeff_example("DoubleFactorial", 2) == pytest.approx(12.0 / 256.0, rel=1e-13)
-        assert coeff_example("DoubleFactorial", 1) == pytest.approx(1.0, abs=1e-15)
+        assert CoefficientSeq("DoubleFactorial").value(2) == pytest.approx(12.0 / 256.0, rel=1e-13)
+        assert CoefficientSeq("DoubleFactorial").value(1) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("mu", MU_GRID)
     def test_normalization_grid(self, mu):
         for r in [0.1, 0.5, 1.0, math.sqrt(mu)]:
             p = ParamSet(mu, r)
-            assert abs(coeff_F(1, p) - 1.0) <= 1e-15
-            assert abs(coeff_Q(1, p) - 1.0) <= 1e-15
+            assert abs(CoefficientSeq(Family.F, p).value(1) - 1.0) <= 1e-15
+            assert abs(CoefficientSeq(Family.Q, p).value(1) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("family,params", [
         (Family.F, ParamSet(2.0, 1.0)),
@@ -86,12 +83,26 @@ class TestCoefficients:
         with pytest.raises(ParameterDomainError):
             ParamSet(1.0, -0.5)
         with pytest.raises(ParameterDomainError):
-            coeff_F(0, ParamSet(1.0, 1.0))
+            CoefficientSeq(Family.F, ParamSet(1.0, 1.0)).value(0)
 
     @pytest.mark.parametrize("n_terms", [0, -3])
     def test_empty_prefix_is_a_domain_error(self, n_terms):
         with pytest.raises(ParameterDomainError):
             CoefficientSeq(Family.SHAT).prefix(n_terms)
+
+    @pytest.mark.parametrize("mu,r", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_non_finite_params_are_a_domain_error(self, mu, r):
+        with pytest.raises(ParameterDomainError):
+            ParamSet(mu, r)
+
+    def test_prefix_keeps_negative_terms(self):
+        seq = FunctionSequence(lambda n: np.where(n == 3, -0.25, 1.0 / n))
+        rows = seq.prefix(4)
+        assert [n for n, _, _ in rows] == [1, 2, 3, 4]
+        assert [v for _, v, _ in rows] == [1.0, 0.5, -0.25, 0.25]
+        assert math.isnan(rows[2][2]) and rows[1][2] == math.log(0.5)
 
 
 class TestEvalSeries:

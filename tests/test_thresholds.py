@@ -108,6 +108,11 @@ class TestThresholdValues:
         with pytest.raises(HypothesisError):
             f_decrease_only_radius(0.0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_decrease_only_radius_non_finite_mu(self, mu):
+        with pytest.raises(HypothesisError):
+            f_decrease_only_radius(mu)
+
 
 class TestDigammaTrigamma:
     def test_special_values(self):
