@@ -14,8 +14,9 @@ import io
 import json
 import sys
 
-from .criteria import CRITERIA, CriterionReport, Status, check_goodman, run_criterion
+from .criteria import CRITERIA, DEFAULT_TERMS, CriterionReport, Status, check_goodman, run_criterion
 from .diskcheck import (
+    DEFAULT_TOLERANCE,
     DiskGrid,
     DiskReport,
     DiskStatus,
@@ -23,9 +24,10 @@ from .diskcheck import (
     dump_grid_csv,
     verify_functional,
 )
-from .explorer import record_to_dict, sweep, theorem_matrix
+from .explorer import DEFAULT_BISECT_TOL, EXPLORE_TERMS, record_to_dict, sweep, theorem_matrix
 from .params import MathieuGeomError, ParamSet
 from .series import (
+    DEFAULT_TOL,
     CoefficientSeq,
     Family,
     eval_S,
@@ -51,12 +53,9 @@ def parse_complex(text: str) -> complex:
 
 
 def _seq_from_flags(args) -> CoefficientSeq:
-    fam = Family(args.family)
-    if fam in (Family.F, Family.Q):
-        if args.mu is None or args.r is None:
-            raise MathieuGeomError(f"family {fam.value} requires --mu and --r")
-        return CoefficientSeq(fam, ParamSet(args.mu, args.r))
-    return CoefficientSeq(fam)
+    if args.mu is None and args.r is None:
+        return CoefficientSeq(args.family)
+    return CoefficientSeq(args.family, ParamSet(args.mu, args.r))
 
 
 def _grid_from_flags(args) -> DiskGrid:
@@ -72,8 +71,9 @@ def _emit(payload: dict | list, rows: list[dict], args) -> None:
     elif fmt == "csv":
         buf = io.StringIO()
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()),
-                                    lineterminator="\n")
+            # union of the rows' keys, first seen first
+            fieldnames = list(dict.fromkeys(k for row in rows for k in row))
+            writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         out = buf.getvalue().rstrip("\n")
@@ -257,8 +257,9 @@ def _add_family_flags(p):
 
 
 def _add_grid_flags(p):
-    p.add_argument("--angles", type=int, default=256, help="first number of circle points")
-    p.add_argument("--max-radius", type=float, default=0.995)
+    p.add_argument("--angles", type=int, default=DiskGrid.n_angles,
+                   help="first number of circle points")
+    p.add_argument("--max-radius", type=float, default=DiskGrid.max_radius)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a series at a point")
     _add_family_flags(p)
     p.add_argument("--z", help="evaluation point, e.g. 0.5+0.25i")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common_output(p)
     p.set_defaults(func=cmd_eval)
 
@@ -287,12 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=list(CRITERIA))
     p.add_argument("--functional", choices=sorted(_FUNCTIONAL_NAMES))
     p.add_argument("--inequality", choices=sorted(INEQUALITY_CASES))
-    p.add_argument("--terms", type=int, default=200)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--dump-grid", help="CSV path for per-point functional values")
-    p.add_argument("--radii", type=int, default=64, help="interior lattice radii (--dump-grid)")
+    p.add_argument("--radii", type=int, default=DiskGrid.n_radii,
+                   help="interior lattice radii (--dump-grid)")
     _add_grid_flags(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_verify)
@@ -308,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-grid", default="0.5,1,2,5")
     p.add_argument("--probe", choices=["sequence", "disk"], default="sequence")
     p.add_argument("--r-hi", type=float)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--terms", type=int, default=500)
+    p.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL)
+    p.add_argument("--terms", type=int, default=EXPLORE_TERMS)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.add_argument("--out")
     _add_grid_flags(p)
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorems", help="run the full theorem matrix")
     p.add_argument("--mu-grid", default="0.5,1,2,5")
     p.add_argument("--level", choices=["sequence", "disk", "both"], default="both")
-    p.add_argument("--terms", type=int, default=200)
+    p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     _add_grid_flags(p)
     _add_common_output(p)
     p.set_defaults(func=cmd_theorems)

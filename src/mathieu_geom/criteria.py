@@ -101,8 +101,7 @@ def _chain_scan(lhs: np.ndarray, rhs: np.ndarray,
     -exp(rhs_log).
     """
     margin = lhs - rhs
-    slack = 1e-12 * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))  # comparison_slack
-    violated = margin < -slack
+    violated = margin < -comparison_slack(lhs, rhs)
     if lhs_log is not None:
         under = (lhs < _UNDERFLOW) & (rhs < _UNDERFLOW)
         log_violated = rhs_log > lhs_log + 1e-9
@@ -157,15 +156,10 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
             inc_margin, detail="increasing branch",
         )
 
-    witness = dec_witness or inc_witness
-    if witness is None:
-        return CriterionReport(
-            Criterion.OZAKI_DECREASING.value, Status.INCONCLUSIVE, n_terms,
-            min(dec_margin, inc_margin), detail="neither branch, no strict violation",
-        )
+    # the decreasing branch failed, so dec_witness is set
     return CriterionReport(
         Criterion.OZAKI_DECREASING.value, Status.FALSIFIED, n_terms,
-        min(dec_margin, inc_margin), witness=witness, detail="both branches violated",
+        min(dec_margin, inc_margin), witness=dec_witness, detail="both branches violated",
     )
 
 
@@ -281,14 +275,7 @@ def check_goodman(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionR
     )
 
 
-@dataclass
-class FejerKernelValue:
-    n: int
-    theta: float
-    sigma: float
-
-
-def fejer_kernel_sigma(n: int, theta: float) -> FejerKernelValue:
+def fejer_kernel_sigma(n: int, theta: float) -> float:
     """Closed form of the Fejer kernel partial sums:
     sigma_n = (1/2) (sin((n+1)theta/2) / sin(theta/2))^2,
     which equals sum_{k=0}^n s_k with s_k = 1/2 + sum_{j=1}^k cos(j theta).
@@ -298,7 +285,7 @@ def fejer_kernel_sigma(n: int, theta: float) -> FejerKernelValue:
     if not (0.0 < theta < 2.0 * math.pi):
         raise ParameterDomainError(f"theta must be in (0, 2*pi), got {theta}")
     s = math.sin(0.5 * (n + 1) * theta) / math.sin(0.5 * theta)
-    return FejerKernelValue(n, theta, 0.5 * s * s)
+    return 0.5 * s * s
 
 
 def ozaki_bernoulli_margin(n: int, p: ParamSet) -> float:

@@ -16,6 +16,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .criteria import (
+    DEFAULT_TERMS,
     check_fejer_halfplane,
     check_fejer_starlike,
     check_ozaki,
@@ -111,7 +112,7 @@ def bisect_failure_r(
     return ThresholdRecord(kind, mu, sufficient_r, lo, lo - sufficient_r, probe, "ok")
 
 
-def theorem_matrix(mu_grid, n_terms=200, grid=None, levels=("sequence", "disk")):
+def theorem_matrix(mu_grid, n_terms=DEFAULT_TERMS, grid=None, levels=("sequence", "disk")):
     """Rows of the acceptance matrix: each (kind, mu) at r = 0.99 *
     threshold, checked at the sequence and/or disk level."""
     grid = grid or DiskGrid()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class MathieuGeomError(Exception):
     """Base class for all errors raised by this package."""
@@ -66,16 +68,16 @@ class ParamSet:
 
     def __post_init__(self):
         for name, value in (("mu", self.mu), ("r", self.r)):
-            if not value > 0:
+            if value is None or not value > 0:
                 raise ParameterDomainError(f"{name} must be > 0, got {value}")
             if value == math.inf:
                 raise ParameterDomainError(f"{name} must be finite, got {value}")
 
 
-def comparison_slack(lhs: float, rhs: float) -> float:
-    """Slack for floating-point chain comparisons.
+def comparison_slack(lhs, rhs):
+    """Slack for floating-point chain comparisons, elementwise on arrays.
 
     All chain inequalities in this package are tested with margin
     >= -slack where slack = 1e-12 * max(1, |lhs|, |rhs|).
     """
-    return 1e-12 * max(1.0, abs(lhs), abs(rhs))
+    return 1e-12 * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))

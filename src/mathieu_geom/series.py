@@ -46,8 +46,14 @@ def _log_coeff_F(n: np.ndarray, mu: float, r: float) -> np.ndarray:
     return np.log(n) + (mu + 1.0) * (math.log1p(r * r) - np.log(n * n + r * r))
 
 
-def _log_coeff_Q(n: np.ndarray, mu: float, r: float) -> np.ndarray:
-    lf = np.vectorize(math.lgamma)(n + 1.0)  # log n!
+def log_factorial(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x+1) elementwise, log x! at integer x."""
+    return np.vectorize(math.lgamma, otypes=[float])(x + 1.0)
+
+
+def log_coeff_Q(n: np.ndarray, mu: float, r: float) -> np.ndarray:
+    """log C_n of the Q family; at real n > 0 it interpolates them."""
+    lf = log_factorial(n)
     # log((n!)^2 + r^2) without forming (n!)^2
     log_denom = 2.0 * lf + np.log1p(r * r * np.exp(-2.0 * lf))
     return lf + (mu + 1.0) * (math.log1p(r * r) - log_denom)
@@ -132,7 +138,7 @@ class CoefficientSeq(SequenceBase):
         if self.family is Family.F:
             return _log_coeff_F(n.astype(float), self.params.mu, self.params.r)
         if self.family is Family.Q:
-            return _log_coeff_Q(n.astype(float), self.params.mu, self.params.r)
+            return log_coeff_Q(n.astype(float), self.params.mu, self.params.r)
         if self.family is Family.SHAT:
             return _log_coeff_shat(n.astype(float))
         return _log_coeff_double_factorial(n)

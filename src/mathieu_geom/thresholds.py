@@ -6,7 +6,8 @@ mu"; `threshold` returns that radius.  The convexity analysis of the
 factorial family rests on the auxiliary functions A(x) and A~(x) (log
 domain with sign tracking) and on eleven scalar/polynomial inequalities,
 each checked here by dense stratified sampling of its constraint box.
-`digamma` and `trigamma` take a float or an array; the ledger margins map
+`digamma`, `trigamma` and the auxiliary functions take a float or an
+array; the ledger margins (the psi and psi' bounds among them) map
 a dict of column arrays to an array, so all sampled points of a box are
 scored in one numpy pass.  The sampler reports the minimum margin and its
 location so the sharpness of each estimate is visible; it verifies, it
@@ -16,6 +17,7 @@ does not prove.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import warnings
@@ -32,7 +34,7 @@ from .params import (
     ParamSet,
     ParameterDomainError,
 )
-from .series import CoefficientSeq, Family
+from .series import CoefficientSeq, Family, log_coeff_Q, log_factorial
 
 
 class ThresholdKind(str, enum.Enum):
@@ -105,138 +107,114 @@ _TRI_TAIL = (7.0 / 6, -691.0 / 2730, 5.0 / 66, -1.0 / 30,
 _RECURRENCE_CUTOFF = 8.0
 
 
-def _shift_up(x, name: str, term):
-    """Shift x (a float or an array, every element > 0) up to >= 8 by the
-    recurrence: returns the shifted copy, the sum of term(x), term(x+1),
-    ... per element, and whether x was a scalar."""
-    arr = np.array(x, dtype=float, ndmin=1)
-    if not np.all(arr > 0):
-        raise ParameterDomainError(
-            f"{name} requires x > 0, got {arr[~(arr > 0)].flat[0]}")
-    acc = np.zeros_like(arr)
-    low = np.flatnonzero(arr < _RECURRENCE_CUTOFF)
+def _elementwise(fn):
+    """Let fn(x, ...), written for a float array x, take a float (Python
+    float out) or an array (elementwise); any x <= 0 or NaN raises
+    ParameterDomainError."""
+    @functools.wraps(fn)
+    def wrapper(x, *args, **kwargs):
+        arr = np.array(x, dtype=float, ndmin=1)
+        if not np.all(arr > 0):
+            raise ParameterDomainError(
+                f"{fn.__name__} requires x > 0, got {arr[~(arr > 0)].flat[0]}")
+        val = fn(arr, *args, **kwargs)
+        return float(val[0]) if np.ndim(x) == 0 else val
+    return wrapper
+
+
+def _shift_up(x: np.ndarray, term):
+    """Shift x up to >= 8 by the recurrence, in place: returns x and the
+    sum of term(x), term(x+1), ... per element."""
+    acc = np.zeros_like(x)
+    low = np.flatnonzero(x < _RECURRENCE_CUTOFF)
     while low.size:
-        v = arr[low]
+        v = x[low]
         acc[low] += term(v)
         v += 1.0
-        arr[low] = v
+        x[low] = v
         low = low[v < _RECURRENCE_CUTOFF]
-    return arr, acc, np.ndim(x) == 0
+    return x, acc
 
 
+@_elementwise
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
     """psi(x) for x > 0, a float (Python float out) or an array
     (elementwise), by upward recurrence to x >= 8 plus the asymptotic
     series (absolute error below 1e-12)."""
-    x, acc, scalar = _shift_up(x, "digamma", lambda v: -1.0 / v)
+    x, acc = _shift_up(x, lambda v: -1.0 / v)
     y = 1.0 / (x * x)
-    val = acc + np.log(x) - 0.5 / x + np.polyval(_PSI_TAIL, y) * y
-    return float(val[0]) if scalar else val
+    return acc + np.log(x) - 0.5 / x + np.polyval(_PSI_TAIL, y) * y
 
 
+@_elementwise
 def trigamma(x: float | np.ndarray) -> float | np.ndarray:
     """psi'(x) for x > 0, same scheme and types as `digamma`."""
-    x, acc, scalar = _shift_up(x, "trigamma", lambda v: 1.0 / (v * v))
+    x, acc = _shift_up(x, lambda v: 1.0 / (v * v))
     y = 1.0 / (x * x)
-    val = acc + 1.0 / x + 0.5 * y + np.polyval(_TRI_TAIL, y) * y / x
-    return float(val[0]) if scalar else val
-
-
-def psi_bounds_check(x: float) -> tuple[bool, bool]:
-    """Check log x - 1/x < psi(x) < log x - 1/(2x) for x > 1.
-
-    Returns (lower_ok, upper_ok).
-    """
-    if not (x > 1):
-        raise ParameterDomainError(f"psi bounds require x > 1, got {x}")
-    psi = digamma(x)
-    lower_ok = psi > math.log(x) - 1.0 / x
-    upper_ok = psi < math.log(x) - 0.5 / x
-    return lower_ok, upper_ok
-
-
-def trigamma_bound_check(x: float) -> bool:
-    """Check psi'(x) < 1/x + 1/x^2 for x > 0."""
-    if not (x > 0):
-        raise ParameterDomainError(f"trigamma bound requires x > 0, got {x}")
-    return trigamma(x) < 1.0 / x + 1.0 / (x * x)
+    return acc + 1.0 / x + 0.5 * y + np.polyval(_TRI_TAIL, y) * y / x
 
 
 # --- auxiliary functions of the factorial-family convexity proofs ----------
 
 
-def _log_gamma_u(x: float, p: ParamSet) -> tuple[float, float]:
-    """log_g = log Gamma(x+1) and u = r^2/Gamma(x+1)^2."""
-    if not (x > 0):
-        raise ParameterDomainError(f"x must be > 0, got {x}")
-    log_g = math.lgamma(x + 1.0)
-    u = math.exp(2.0 * (math.log(p.r) - log_g)) if math.log(p.r) - log_g > -350 else 0.0
-    return log_g, u
+def _brackets(x: np.ndarray, p: ParamSet):
+    """log Gamma(x+1), u = r^2/Gamma(x+1)^2 and the O(1) brackets of A and
+    A~: with c1 = 2mu+1 and psi, psi' at x+1, A~'s is quad psi^2 + (u+1)
+    (u-c1) psi' and A's is 2(u+1)(u-c1) psi + x (A~'s)."""
+    log_g = log_factorial(x)
+    u = np.exp(2.0 * (math.log(p.r) - log_g))
+    c1 = 2.0 * p.mu + 1.0
+    psi = digamma(x + 1.0)
+    quad = u * u - 2.0 * (4.0 * p.mu + 3.0) * u + c1 * c1
+    tilde = quad * psi * psi + (u + 1.0) * (u - c1) * trigamma(x + 1.0)
+    return log_g, u, 2.0 * (u + 1.0) * (u - c1) * psi + x * tilde, tilde
 
 
-def _bracket_terms(x: float, p: ParamSet):
-    """log_g and u of `_log_gamma_u`, c1 = 2mu+1, psi(x+1) and psi'(x+1)."""
-    log_g, u = _log_gamma_u(x, p)
-    return log_g, u, 2.0 * p.mu + 1.0, digamma(x + 1.0), trigamma(x + 1.0)
+def _signed_exp(log_mag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b exp(log_mag), formed as sign(b) exp(log_mag + log|b|); raises
+    NumericError past exp(700)."""
+    with np.errstate(divide="ignore"):  # b = 0 gives exp(-inf) = 0
+        log_mag = log_mag + np.log(np.abs(b))
+    if np.any(log_mag > 700.0):
+        raise NumericError(
+            f"value exceeds representable range: exp({float(np.max(log_mag))})")
+    return np.sign(b) * np.exp(log_mag)
 
 
-def _exp_signed(log_mag: float, sign: float) -> float:
-    if log_mag > 700.0:
-        raise NumericError(f"value exceeds representable range: exp({log_mag})")
-    return sign * math.exp(log_mag)
-
-
-def A_of_x(x: float, p: ParamSet) -> float:
+@_elementwise
+def A_of_x(x, p: ParamSet):
     """The second-derivative factor A(x) of the weighted factorial-family
     sequence, i.e. g''(x) = Gamma(x+1) (Gamma(x+1)^2+r^2)^(-mu-3)
-    (1+r^2)^(mu+1) A(x) for g(x) = x Gamma(x+1) (1+r^2)^(mu+1) /
-    (Gamma(x+1)^2+r^2)^(mu+1).
-
-    Computed as Gamma(x+1)^4 times an O(1) bracket, so only the single
-    Gamma power is exponentiated (log domain, sign tracked).
-    """
-    log_g, u, c1, psi, psi1 = _bracket_terms(x, p)
-    mu = p.mu
-    quad = u * u - 2.0 * (4.0 * mu + 3.0) * u + c1 * c1
-    bracket = (2.0 * (u + 1.0) * (u - c1) * psi
-               + x * quad * psi * psi
-               + x * (u + 1.0) * (u - c1) * psi1)
-    if bracket == 0.0:
-        return 0.0
-    return _exp_signed(4.0 * log_g + math.log(abs(bracket)), math.copysign(1.0, bracket))
+    (1+r^2)^(mu+1) A(x) for g = `g_of_x`; Gamma(x+1)^4 times an O(1)
+    bracket, so only the Gamma power is exponentiated."""
+    log_g, _, bracket, _ = _brackets(x, p)
+    return _signed_exp(4.0 * log_g, bracket)
 
 
-def A_tilde_of_x(x: float, p: ParamSet) -> float:
+@_elementwise
+def A_tilde_of_x(x, p: ParamSet):
     """The two-term analogue of A(x) governing convexity of the
     unweighted factorial-family sequence."""
-    log_g, u, c1, psi, psi1 = _bracket_terms(x, p)
-    mu = p.mu
-    quad = u * u - 2.0 * (4.0 * mu + 3.0) * u + c1 * c1
-    bracket = quad * psi * psi + (u + 1.0) * (u - c1) * psi1
-    if bracket == 0.0:
-        return 0.0
-    return _exp_signed(4.0 * log_g + math.log(abs(bracket)), math.copysign(1.0, bracket))
+    log_g, _, _, bracket = _brackets(x, p)
+    return _signed_exp(4.0 * log_g, bracket)
 
 
-def g_of_x(x: float, p: ParamSet) -> float:
+@_elementwise
+def g_of_x(x, p: ParamSet):
     """g(x) = x Gamma(x+1) (1+r^2)^(mu+1) / (Gamma(x+1)^2+r^2)^(mu+1);
     interpolates the index-weighted factorial-family coefficients n C_n."""
-    log_g, u = _log_gamma_u(x, p)
-    log_val = (math.log(x) + log_g
-               + (p.mu + 1.0) * (math.log1p(p.r ** 2) - (2.0 * log_g + math.log1p(u))))
-    return math.exp(log_val)
+    return _signed_exp(log_coeff_Q(x, p.mu, p.r), x)
 
 
-def g_second_derivative(x: float, p: ParamSet) -> float:
-    """g''(x) assembled from A(x); cross-checked in tests against a
-    finite difference of g."""
-    log_g, u = _log_gamma_u(x, p)
-    a_val = A_of_x(x, p)
-    if a_val == 0.0:
-        return 0.0
-    log_pref = (log_g + (-p.mu - 3.0) * (2.0 * log_g + math.log1p(u))
+@_elementwise
+def g_second_derivative(x, p: ParamSet):
+    """g''(x) from the prefactor of `A_of_x` and A's bracket, exponentiated
+    together (so g'' underflows to 0 where A alone would overflow);
+    cross-checked in tests against a finite difference of g."""
+    log_g, u, bracket, _ = _brackets(x, p)
+    log_pref = (5.0 * log_g - (p.mu + 3.0) * (2.0 * log_g + np.log1p(u))
                 + (p.mu + 1.0) * math.log1p(p.r ** 2))
-    return _exp_signed(log_pref + math.log(abs(a_val)), math.copysign(1.0, a_val))
+    return _signed_exp(log_pref, bracket)
 
 
 def h_diff(n: int, p: ParamSet) -> float:
@@ -297,10 +275,6 @@ class InequalityCase:
     def point(self, coords) -> dict:
         return {name: float(v)
                 for name, v in self.columns(np.asarray(coords, dtype=float)).items()}
-
-
-def _gamma5_sq() -> float:
-    return math.gamma(5.0) ** 2  # 576
 
 
 # Squares are products: a scalar ** 2 goes through pow(), not correctly
@@ -382,7 +356,7 @@ INEQUALITY_CASES = {
         InequalityCase(
             "eq-total",
             [("x", 4.0, 200.0, True), ("mu", 1e-6, 100.0, True),
-             ("t", 0.0, 1.0, False), ("c", _gamma5_sq(), 1e8, True)],
+             ("t", 0.0, 1.0, False), ("c", math.gamma(5.0) ** 2, 1e8, True)],
             _margin_total,
             "combined convexity estimate on x>=4, c>=Gamma(5)^2, 0<=r<=sqrt(mu)",
         ),

@@ -29,7 +29,6 @@ from mathieu_geom.thresholds import (
     g_second_derivative,
     h_diff,
     h_tilde_diff,
-    psi_bounds_check,
     trigamma,
     verify_inequality,
 )
@@ -136,7 +135,7 @@ def test_08_kernel_identity():
     for _ in range(500):
         n = int(rng.integers(0, 101))
         theta = float(rng.uniform(1e-6, 2.0 * math.pi - 1e-6))
-        val = fejer_kernel_sigma(n, theta).sigma
+        val = fejer_kernel_sigma(n, theta)
         terms = [0.5 * (n + 1)]
         terms += [(n + 1 - j) * math.cos(j * theta) for j in range(1, n + 1)]
         ref = math.fsum(terms)
@@ -169,8 +168,9 @@ def test_09_sweep_soundness_and_determinism():
 def test_10_digamma_contract():
     """Digamma bound pair holds on a 1000-point log grid in (1, 1e4];
     psi(1) and psi'(1) reproduce their classical values to 1e-12."""
-    ok = all(all(psi_bounds_check(float(x)))
-             for x in np.exp(np.linspace(math.log(1.0 + 1e-6), math.log(1e4), 1000)))
+    xs = np.exp(np.linspace(math.log(1.0 + 1e-6), math.log(1e4), 1000))
+    ok = all(np.all(INEQUALITY_CASES[case].margin({"x": xs}) > 0)
+             for case in ("eq-psi-lower", "eq-psi-upper"))
     ok = ok and abs(digamma(1.0) + 0.5772156649015329) <= 1e-12
     ok = ok and abs(trigamma(1.0) - math.pi ** 2 / 6.0) <= 1e-12
     report("10 digamma: bounds on log grid, psi(1), psi'(1)", ok)

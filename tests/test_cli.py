@@ -1,5 +1,7 @@
 """CLI: argument handling, output formats, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -96,6 +98,18 @@ class TestCoeffs:
         code, out, err = run(capsys, "coeffs", "--family", "SHat", f"--n={n}")
         assert code == 2
         assert out == "" and "n_terms must be >= 1" in err
+
+    def test_example_family_rejects_mu_r(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--family", "SHat", "--mu", "1", "--r", "1",
+                             "--n", "3")
+        assert code == 2
+        assert out == "" and "takes no (mu, r)" in err
+
+    @pytest.mark.parametrize("family,flag", [("F", "--mu"), ("Q", "--r"), ("SHat", "--mu")])
+    def test_lone_mu_or_r_exits_2(self, capsys, family, flag):
+        code, out, err = run(capsys, "coeffs", "--family", family, flag, "1", "--n", "3")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,6 +271,16 @@ class TestThresholdsAndSweep:
         data = json.loads(out)
         assert data["SHat_goodman"]["status"] == "Verified"
         assert data["DoubleFactorial_goodman"]["status"] == "Verified"
+
+    def test_examples_csv(self, capsys):
+        # the S_at_1 row has a value column the report rows lack
+        code, out, err = run(capsys, "examples", "--format", "csv")
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["check"] for row in rows] == [
+            "SHat_goodman", "DoubleFactorial_goodman", "S_at_1"]
+        assert rows[0]["status"] == "Verified" and rows[0]["value"] == ""
+        assert rows[2]["status"] == "" and 0.79 < float(rows[2]["value"]) < 0.80
 
 
 class TestTheorems:

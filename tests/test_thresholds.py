@@ -1,6 +1,7 @@
 """Sufficient radii, digamma/trigamma, auxiliary convexity functions,
 and the inequality ledger."""
 
+import functools
 import itertools
 import math
 import warnings
@@ -14,6 +15,7 @@ from scipy.stats import qmc
 from mathieu_geom.criteria import Status
 from mathieu_geom.params import (
     HypothesisError,
+    NumericError,
     ParameterDomainError,
     ParamSet,
 )
@@ -32,12 +34,10 @@ from mathieu_geom.thresholds import (
     hypothesis_pairs,
     phi_convexity_check,
     phi_of_x,
-    psi_bounds_check,
     threshold,
     trigamma,
     _scale,
     _unit_samples,
-    trigamma_bound_check,
     verify_inequality,
 )
 
@@ -147,17 +147,21 @@ class TestDigammaTrigamma:
                 float(polygamma(1, x)), rel=1e-12, abs=1e-14)
 
     def test_psi_bounds_on_log_grid(self):
-        for x in np.exp(np.linspace(math.log(1.0 + 1e-6), math.log(1e4), 1000)):
-            lower_ok, upper_ok = psi_bounds_check(float(x))
-            assert lower_ok and upper_ok
+        xs = np.exp(np.linspace(math.log(1.0 + 1e-6), math.log(1e4), 1000))
+        assert np.all(INEQUALITY_CASES["eq-psi-lower"].margin({"x": xs}) > 0)
+        assert np.all(INEQUALITY_CASES["eq-psi-upper"].margin({"x": xs}) > 0)
 
     def test_trigamma_bound(self):
-        for x in np.exp(np.linspace(math.log(1e-3), math.log(1e4), 500)):
-            assert trigamma_bound_check(float(x))
+        xs = np.exp(np.linspace(math.log(1e-3), math.log(1e4), 500))
+        assert np.all(INEQUALITY_CASES["eq-trigamma"].margin({"x": xs}) > 0)
 
-    @pytest.mark.parametrize("fn", [digamma, trigamma])
-    def test_array_equals_scalar(self, fn):
-        xs = np.exp(np.linspace(math.log(1e-6), math.log(1e4), 2001))
+    @pytest.mark.parametrize("fn,xs", [
+        pytest.param(fn, np.exp(np.linspace(math.log(1e-6), math.log(1e4), 2001)),
+                     id=fn.__name__) for fn in (digamma, trigamma)] + [
+        pytest.param(functools.partial(fn, p=ParamSet(mu, math.sqrt(mu))),
+                     np.linspace(0.05, 40.0, 401), id=f"{fn.__name__}-mu{mu}")
+        for fn in (A_of_x, A_tilde_of_x, g_of_x, g_second_derivative) for mu in (0.5, 2.0)])
+    def test_array_equals_scalar(self, fn, xs):
         got = fn(xs)
         assert isinstance(got, np.ndarray) and got.shape == xs.shape
         assert type(fn(float(xs[0]))) is float
@@ -183,8 +187,6 @@ class TestDigammaTrigamma:
             digamma(0.0)
         with pytest.raises(ParameterDomainError):
             trigamma(-1.0)
-        with pytest.raises(ParameterDomainError):
-            psi_bounds_check(1.0)
 
 
 class TestAuxiliaryFunctions:
@@ -220,6 +222,22 @@ class TestAuxiliaryFunctions:
         analytic = g_second_derivative(x, p)
         assert analytic == pytest.approx(rich, rel=1e-6)
 
+    def test_A_tilde_vs_finite_difference_of_C(self):
+        # C(x) = g(x)/x has C'' = Gamma(x+1) (Gamma(x+1)^2+r^2)^(-mu-3)
+        # (1+r^2)^(mu+1) A~(x), the prefactor g'' has with A
+        p = ParamSet(2.0, 1.0)
+        x = 5.0
+
+        def fd(h):
+            c = [g_of_x(t, p) / t for t in (x - h, x, x + h)]
+            return (c[0] - 2.0 * c[1] + c[2]) / (h * h)
+
+        rich = (4.0 * fd(1e-4) - fd(2e-4)) / 3.0
+        log_g = math.lgamma(x + 1.0)
+        pref = math.exp(log_g - (p.mu + 3.0) * math.log(math.exp(2.0 * log_g) + p.r ** 2)
+                        + (p.mu + 1.0) * math.log1p(p.r ** 2))
+        assert pref * A_tilde_of_x(x, p) == pytest.approx(rich, rel=1e-6)
+
     def test_g_second_derivative_sign_matches_A(self):
         p = ParamSet(2.0, math.sqrt(2.0))
         for x in [4.0, 8.0, 15.0]:
@@ -254,6 +272,24 @@ class TestAuxiliaryFunctions:
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
             A_of_x(0.0, ParamSet(1.0, 1.0))
+
+    @pytest.mark.parametrize("fn", [A_of_x, A_tilde_of_x, g_of_x, g_second_derivative])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_domain(self, fn, bad):
+        with pytest.raises(ParameterDomainError):
+            fn(np.array([0.5, 2.0, bad, 10.0]), ParamSet(1.0, 1.0))
+
+    @pytest.mark.parametrize("fn", [A_of_x, A_tilde_of_x])
+    def test_array_overflow(self, fn):
+        # Gamma(201)^4 is past exp(700): one such element fails the array
+        with pytest.raises(NumericError):
+            fn(np.array([5.0, 200.0]), ParamSet(1.0, 1.0))
+
+    def test_g_second_derivative_underflows_where_A_overflows(self):
+        p = ParamSet(2.0, math.sqrt(2.0))
+        with pytest.raises(NumericError):
+            A_of_x(60.0, p)
+        assert g_second_derivative(60.0, p) == 0.0
 
 
 class TestInequalityLedger:
