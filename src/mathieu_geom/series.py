@@ -14,6 +14,7 @@ log form is the only faithful representation at large n.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,8 +47,22 @@ def _log_coeff_F(n: np.ndarray, mu: float, r: float) -> np.ndarray:
     return np.log(n) + (mu + 1.0) * (math.log1p(r * r) - np.log(n * n + r * r))
 
 
+_LOG_FACTORIAL_TABLE = 4096
+
+
+@functools.cache
+def _log_factorials() -> np.ndarray:
+    """log k! = math.lgamma(k + 1.0) for k < _LOG_FACTORIAL_TABLE."""
+    return np.array([math.lgamma(k + 1.0) for k in range(_LOG_FACTORIAL_TABLE)])
+
+
 def log_factorial(x: np.ndarray) -> np.ndarray:
-    """log Gamma(x+1) elementwise, log x! at integer x."""
+    """log Gamma(x+1) elementwise, log x! at integer x.  An integer array
+    with 0 <= x < _LOG_FACTORIAL_TABLE reads a table built at first use;
+    any other x calls math.lgamma per element.  Both give the same bits."""
+    x = np.asarray(x)
+    if x.dtype.kind in "iu" and x.min(initial=0) >= 0 and x.max(initial=0) < _LOG_FACTORIAL_TABLE:
+        return _log_factorials()[x]
     return np.vectorize(math.lgamma, otypes=[float])(x + 1.0)
 
 
@@ -138,7 +153,7 @@ class CoefficientSeq(SequenceBase):
         if self.family is Family.F:
             return _log_coeff_F(n.astype(float), self.params.mu, self.params.r)
         if self.family is Family.Q:
-            return log_coeff_Q(n.astype(float), self.params.mu, self.params.r)
+            return log_coeff_Q(n, self.params.mu, self.params.r)
         if self.family is Family.SHAT:
             return _log_coeff_shat(n.astype(float))
         return _log_coeff_double_factorial(n)

@@ -5,7 +5,8 @@ Every theorem hypothesis has the form "r below a closed-form function of
 mu"; `threshold` returns that radius.  The convexity analysis of the
 factorial family rests on the auxiliary functions A(x) and A~(x) (log
 domain with sign tracking) and on eleven scalar/polynomial inequalities,
-each checked here by dense stratified sampling of its constraint box.
+each checked here by dense stratified sampling of its constraint box
+(corners, faces and a scrambled Sobol design, generated in numpy).
 `digamma`, `trigamma` and the auxiliary functions take a float or an
 array; the ledger margins (the psi and psi' bounds among them) map
 a dict of column arrays to an array, so all sampled points of a box are
@@ -20,7 +21,6 @@ import enum
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -109,14 +109,15 @@ _RECURRENCE_CUTOFF = 8.0
 
 def _elementwise(fn):
     """Let fn(x, ...), written for a float array x, take a float (Python
-    float out) or an array (elementwise); any x <= 0 or NaN raises
-    ParameterDomainError."""
+    float out) or an array (elementwise); any x that is not finite and
+    > 0 raises ParameterDomainError."""
     @functools.wraps(fn)
     def wrapper(x, *args, **kwargs):
         arr = np.array(x, dtype=float, ndmin=1)
-        if not np.all(arr > 0):
+        bad = ~((arr > 0) & (arr < math.inf))
+        if bad.any():
             raise ParameterDomainError(
-                f"{fn.__name__} requires x > 0, got {arr[~(arr > 0)].flat[0]}")
+                f"{fn.__name__} requires finite x > 0, got {arr[bad].flat[0]}")
         val = fn(arr, *args, **kwargs)
         return float(val[0]) if np.ndim(x) == 0 else val
     return wrapper
@@ -388,27 +389,83 @@ INEQUALITY_CASES = {
 }
 
 
+# Sobol points in at most four dimensions, bit for bit those of scipy's
+# `qmc.Sobol(d, scramble=True, seed=seed)` (30 bits): Joe-Kuo direction
+# numbers (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008), scrambled by a
+# random linear matrix and a digital shift (Matousek, J. Complexity 14, 1998).
+_SOBOL_BITS = 30
+# primitive polynomial (coefficient bits) and initial m_1..m_s of
+# dimensions 2-4; dimension 1 has m_k = 1 throughout
+_JOE_KUO = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
+
+
+def _direction_numbers() -> np.ndarray:
+    """v[j, k] = m_k 2^(29-k) for dimension j, counting k from 0, with m
+    from the Bratley-Fox recurrence m_k = m_(k-s) xor sum_i a_i 2^i m_(k-i)
+    (a_i the polynomial's coefficients, a_s = 1)."""
+    m = np.ones((1 + len(_JOE_KUO), _SOBOL_BITS), dtype=np.uint32)
+    for j, (poly, init) in enumerate(_JOE_KUO, start=1):
+        s = len(init)
+        row = list(init)
+        for k in range(s, _SOBOL_BITS):
+            new = row[k - s]
+            for i in range(1, s + 1):
+                if poly >> (s - i) & 1:
+                    new ^= row[k - i] << i
+            row.append(new)
+        m[j] = row
+    return m << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS, dtype=np.uint32))
+
+
+_SOBOL_V = _direction_numbers()
+
+
+def _sobol(d: int, seed: int, n: int) -> np.ndarray:
+    """The first n points of the scrambled d-dimensional Sobol sequence
+    as 30-bit integers, an (n, d) uint32 array (the points are these
+    times 2^-30).  The scramble is drawn from `np.random.default_rng(seed)`
+    in scipy's order and dtype: the shift bits (bit k in column k), then
+    the lower-triangular matrices."""
+    if n > 2 ** _SOBOL_BITS:
+        raise ConfigurationError(
+            f"the Sobol generator gives at most 2**{_SOBOL_BITS} points, {n} were asked for")
+    if d > len(_SOBOL_V):
+        raise ConfigurationError(
+            f"the Sobol generator has {len(_SOBOL_V)} dimensions, {d} were asked for")
+    rng = np.random.default_rng(seed)
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    # row i of the matrix acts on bit 29-i of each direction number (mod 2)
+    msb_first = (_SOBOL_BITS - 1 - bits)[:, None]
+    v_bits = (_SOBOL_V[:d, None, :] >> msb_first) & 1
+    v = (((ltm @ v_bits) & 1) << msb_first).sum(axis=1, dtype=np.uint32)
+    # Gray code: point k is point k-1 xor the direction number of bit
+    # ctz(k), and ctz(k) = b exactly at k = 2^b, 3 2^b, 5 2^b, ...
+    pts = np.empty((n, d), dtype=np.uint32)
+    pts[:1] = shift
+    for b in range(_SOBOL_BITS):
+        pts[1 << b::2 << b] = v[:, b]
+    return np.bitwise_xor.accumulate(pts, axis=0, out=pts)
+
+
 def _unit_samples(case: InequalityCase, n_interior: int, seed: int) -> np.ndarray:
     """Stratified samples in the unit cube: corners, boundary faces with
     Sobol fill, and Sobol interior."""
-    # Imported here, not at module top: scipy.stats takes longer to import
-    # than the rest of the package, and the ledger sampler is its only caller.
-    from scipy.stats import qmc
-
     d = len(case.dims)
-    blocks = [np.array(list(itertools.product((0.0, 1.0), repeat=d)))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sobol = qmc.Sobol(d, scramble=True, seed=seed)
-        n_face = max(1, n_interior // (8 * d)) if d > 1 else 0
-        for k in range(d):
-            for bound in (0.0, 1.0):
-                if n_face:
-                    pts = sobol.random(n_face)
-                    pts[:, k] = bound
-                    blocks.append(pts)
-        blocks.append(sobol.random(n_interior))
-    return np.vstack(blocks)
+    n_face = max(1, n_interior // (8 * d)) if d > 1 else 0
+    ints = _sobol(d, seed, 2 * d * n_face + n_interior)
+    corners = 2 ** d
+    out = np.empty((corners + len(ints), d))
+    out[:corners] = list(itertools.product((0.0, 1.0), repeat=d))
+    np.multiply(ints, 2.0 ** -_SOBOL_BITS, out=out[corners:])
+    # one Sobol run fills the faces (dim k pinned to 0, then to 1, for each
+    # k in turn) and then the interior
+    faces = out[corners:corners + 2 * d * n_face].reshape(d, 2, n_face, d)
+    for k in range(d):
+        faces[k, :, :, k] = [[0.0], [1.0]]
+    return out
 
 
 def _scale(case: InequalityCase, unit: np.ndarray) -> np.ndarray:

@@ -341,15 +341,24 @@ class TestReadme:
 
 
 class TestColdImport:
-    def test_package_and_cli_import_no_scipy(self):
+    @staticmethod
+    def _scipy_modules_after(code):
+        # the scipy modules loaded by a fresh interpreter that ran code
         src = str(Path(mathieu_geom.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, mathieu_geom, mathieu_geom.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        code += ("; import sys; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stderr.strip()
+
+    def test_package_and_cli_import_no_scipy(self):
+        assert self._scipy_modules_after("import mathieu_geom, mathieu_geom.cli") == "[]"
+
+    def test_verify_inequality_loads_no_scipy(self):
+        # the ledger's Sobol points come from numpy alone
+        code = ("from mathieu_geom.cli import main; "
+                "assert main(['verify', '--inequality', 'eq-total', '--samples', '1000']) == 0")
+        assert self._scipy_modules_after(code) == "[]"
 
 
 class TestDerivedTables:

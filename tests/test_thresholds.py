@@ -14,6 +14,7 @@ from scipy.stats import qmc
 
 from mathieu_geom.criteria import Status
 from mathieu_geom.params import (
+    ConfigurationError,
     HypothesisError,
     NumericError,
     ParameterDomainError,
@@ -37,6 +38,7 @@ from mathieu_geom.thresholds import (
     threshold,
     trigamma,
     _scale,
+    _sobol,
     _unit_samples,
     verify_inequality,
 )
@@ -174,7 +176,7 @@ class TestDigammaTrigamma:
         np.testing.assert_allclose(digamma(xs), psi(xs), rtol=0, atol=1e-12)
         np.testing.assert_allclose(trigamma(xs), polygamma(1, xs), rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_array_domain(self, bad):
         xs = np.array([0.5, 2.0, bad, 10.0])
         with pytest.raises(ParameterDomainError):
@@ -272,9 +274,12 @@ class TestAuxiliaryFunctions:
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
             A_of_x(0.0, ParamSet(1.0, 1.0))
+        # x = inf used to reach inf - inf inside the bracket
+        with pytest.raises(ParameterDomainError, match="finite x > 0, got inf"):
+            A_of_x(math.inf, ParamSet(1.0, 1.0))
 
     @pytest.mark.parametrize("fn", [A_of_x, A_tilde_of_x, g_of_x, g_second_derivative])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_array_domain(self, fn, bad):
         with pytest.raises(ParameterDomainError):
             fn(np.array([0.5, 2.0, bad, 10.0]), ParamSet(1.0, 1.0))
@@ -451,9 +456,41 @@ class TestInequalityLedger:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
-    def test_configuration_errors(self):
-        from mathieu_geom.params import ConfigurationError
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+           sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=5))
+    def test_sobol_matches_scipy(self, d, seed, sizes):
+        # scipy's engine is the oracle: the same points over any sequence of draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # draw sizes that are not powers of 2
+            sobol = qmc.Sobol(d, scramble=True, seed=seed)
+            want = np.vstack([sobol.random(n) for n in sizes])
+        got = _sobol(d, seed, sum(sizes)) * 2.0 ** -30
+        assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("case_id", ["eq-sqrt", "eq-total"])
+    def test_past_the_generators_range(self, case_id):
+        # the fewest interior samples whose Sobol run (faces included)
+        # passes 2**30 points; the error comes before any point is drawn
+        d = len(INEQUALITY_CASES[case_id].dims)
+
+        def n_sobol(samples):
+            return samples + (2 * d * max(1, samples // (8 * d)) if d > 1 else 0)
+
+        samples = int(2**30 / (1.25 if d > 1 else 1.0)) - 64
+        while n_sobol(samples) <= 2**30:
+            samples += 1
+        assert n_sobol(samples - 1) <= 2**30 < n_sobol(samples)
+        with pytest.raises(ConfigurationError, match=r"at most 2\*\*30 points"):
+            verify_inequality(case_id, samples=samples)
+
+    def test_too_many_dimensions(self):
+        case = InequalityCase("5d", [(name, 1.0, 2.0, False) for name in "abcde"],
+                              lambda p: p["a"])
+        with pytest.raises(ConfigurationError, match="4 dimensions"):
+            verify_inequality(case, samples=10**3)
+
+    def test_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             verify_inequality("no-such-id")
         with pytest.raises(ConfigurationError):
