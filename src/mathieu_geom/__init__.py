@@ -25,6 +25,8 @@ from .series import (
     EvalResult,
     Family,
     FunctionSequence,
+    PanelRule,
+    S_integral_rule,
     ZETA3,
     eval_S,
     eval_S_integral,

@@ -30,6 +30,7 @@ from .series import (
     DEFAULT_TOL,
     CoefficientSeq,
     Family,
+    S_integral_rule,
     eval_S,
     eval_S_integral,
     eval_series,
@@ -137,7 +138,9 @@ def cmd_eval(args) -> int:
             payload = {"value": res.value, "truncation_index": res.truncation_index,
                        "tail_bound": res.tail_bound}
         else:
-            payload = {"value": eval_S_integral(args.r, max(args.tol, 1e-12))}
+            rule = S_integral_rule(args.r, args.tol)
+            payload = {"value": eval_S_integral(args.r, args.tol),
+                       "error_bound": rule.error_bound, "nodes": rule.nodes}
         _emit(payload, [payload], args)
         return 0
     if args.z is None:

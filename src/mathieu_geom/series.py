@@ -56,14 +56,20 @@ def _log_factorials() -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(_LOG_FACTORIAL_TABLE)])
 
 
-def log_factorial(x: np.ndarray) -> np.ndarray:
-    """log Gamma(x+1) elementwise, log x! at integer x.  An integer array
-    with 0 <= x < _LOG_FACTORIAL_TABLE reads a table built at first use;
-    any other x calls math.lgamma per element.  Both give the same bits."""
+def log_factorial(x: float | np.ndarray) -> float | np.ndarray:
+    """log Gamma(x+1) elementwise, log x! at integer x.  A scalar (a Python
+    number or 0-d array) gives math.lgamma(x + 1.0) as a float; an integer
+    array with 0 <= x < _LOG_FACTORIAL_TABLE reads a table built at first
+    use; any other array calls math.lgamma per element.  All give the same
+    bits."""
+    if np.ndim(x) == 0:
+        return math.lgamma(x + 1.0)
     x = np.asarray(x)
     if x.dtype.kind in "iu" and x.min(initial=0) >= 0 and x.max(initial=0) < _LOG_FACTORIAL_TABLE:
         return _log_factorials()[x]
-    return np.vectorize(math.lgamma, otypes=[float])(x + 1.0)
+    shifted = x + 1.0
+    return np.fromiter(map(math.lgamma, shifted.ravel().tolist()), float,
+                       shifted.size).reshape(shifted.shape)
 
 
 def log_coeff_Q(n: np.ndarray, mu: float, r: float) -> np.ndarray:
@@ -302,37 +308,132 @@ def eval_S(r: float, tol: float = DEFAULT_TOL, n_max: int = N_MAX) -> EvalResult
     )
 
 
-def eval_S_integral(r: float, tol: float = 1e-10) -> float:
-    """S(r) via its integral representation (1/r) int_0^inf t sin(rt)/(e^t-1) dt.
+# S(r) by its integral form: composite Gauss-Legendre rule on panels of
+# width h = min(1, 1/r).  Each panel's Bernstein ellipse has rho - 1/rho = 4:
+# semi-minor axis h, reaching _REACH h beyond either end of the panel.
+_GAUSS_N = 24
+# The positive nodes of the 24-point rule and their weights, correctly
+# rounded (regenerated by a test at 50 digits); numpy's leggauss puts its
+# end weights up to 1100 ulp off, past what the rounding term allows.
+_GAUSS_NODES = (0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+                0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+                0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+                0.9382745520027328, 0.9747285559713095, 0.9951872199970213)
+_GAUSS_WEIGHTS = (0.12793819534675216, 0.1258374563468283, 0.12167047292780339,
+                  0.1155056680537256, 0.10744427011596563, 0.09761865210411388,
+                  0.08619016153195327, 0.0733464814110803, 0.05929858491543678,
+                  0.04427743881741981, 0.028531388628933663, 0.0123412297999872)
+_RHO = 2.0 + math.sqrt(5.0)
+_REACH = 0.5 * (math.sqrt(5.0) - 1.0)
+_PANEL_CHUNK = 4096
+_MAX_PANELS = 1 << 22
+_UNIT_ROUNDOFF = 2.0**-53
 
-    Integrates over [0, T] with T chosen so the dropped remainder is
-    below tol/2: for t >= T >= 1 the integrand is at most
-    2 t e^{-t}, whose tail integral is 2(T+1)e^{-T}.
-    """
-    if not (r > 0):
-        raise ParameterDomainError(f"r must be > 0, got {r}")
-    if tol <= 0:
+
+@dataclass(frozen=True)
+class PanelRule:
+    """The composite Gauss-Legendre rule `eval_S_integral` uses at (r, tol):
+    ``panels`` panels of ``width`` covering [0, panels * width], and a
+    bound on |S(r) - value| for the value it returns."""
+
+    width: float
+    panels: int
+    error_bound: float
+
+    @property
+    def nodes(self) -> int:
+        return self.panels * _GAUSS_N
+
+
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the 24-point rule on [-1, 1]."""
+    x, w = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+def _S_remainder(r: float, big_t: float) -> float:
+    """Bound on (1/r) int_T^inf t |sin rt| / (e^t-1) dt: |sin rt| <= min(1, rt)
+    and 1/(e^t-1) <= e^-t / (1-e^-T) for t >= T give min(T^2+2T+2, (T+1)/r)
+    e^-T / (1-e^-T)."""
+    poly = min(big_t * big_t + 2.0 * big_t + 2.0, (big_t + 1.0) / r)
+    return poly * math.exp(-big_t) / -math.expm1(-big_t)
+
+
+def _panel_majorant(r: float, width: float, start: float, radius: float) -> float:
+    """M >= |t sin(rt) / (r (e^t-1))| on the Bernstein ellipse E_rho of the
+    panel [start, start + width], width <= 1, for an ellipse inside
+    |t| <= radius.  There |Im t| <= width and Re t >= start - _REACH width;
+    |t / (e^t-1)| <= 1.043 max(1, e^-Re t) for |Im t| <= 1 follows from
+    |e^x-1| >= |x| min(1, e^x) and sin(y/2)/(y/2) >= 0.9589, and
+    |sin rt| <= cosh(r Im t), or |sin rt| <= r|t| cosh(r|t|) where r|t| <= 1."""
+    sin_over_r = math.cosh(r * width) / r
+    if r * radius <= 1.0:
+        sin_over_r = min(sin_over_r, radius * math.cosh(1.0))
+    return 1.043 * sin_over_r * max(1.0, math.exp(_REACH * width - start))
+
+
+def S_integral_rule(r: float, tol: float = 1e-10) -> PanelRule:
+    """The panel rule `eval_S_integral(r, tol)` evaluates, with the error
+    bound documented there.  Raises NumericError if that bound exceeds tol
+    or the rule would need more than _MAX_PANELS panels."""
+    if not 0.0 < r < math.inf:
+        raise ParameterDomainError(f"r must be finite and > 0, got {r}")
+    if not tol > 0:
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
-    # Imported here, not at module top: scipy.integrate takes longer to
-    # import than the rest of the package, and this is its only caller.
-    from scipy import integrate
+    width = min(1.0, 1.0 / r)
+    big_t = 1.0
+    while _S_remainder(r, big_t) > _UNIT_ROUNDOFF:
+        big_t += 1.0
+    if big_t / width > _MAX_PANELS:
+        raise NumericError(
+            f"S({r}) needs {big_t / width:.3g} panels, over {_MAX_PANELS}; "
+            "eval_S sums the series instead")
+    panels = math.ceil(big_t / width)
+    big_t = panels * width
+    radius = big_t + (1.0 + _REACH) * width
+    majorants = (_panel_majorant(r, width, 0.0, radius)
+                 + (panels - 1) * _panel_majorant(r, width, width, radius))
+    quadrature = (0.5 * width * (64.0 / 15.0) * _RHO ** (-2 * _GAUSS_N)
+                  / (_RHO**2 - 1.0) * majorants)
+    depth = _GAUSS_N + 12 + min(panels, _PANEL_CHUNK) + -(-panels // _PANEL_CHUNK)
+    abs_sum = min(2.0 * ZETA3, math.pi**2 / (6.0 * r))
+    rounding = _UNIT_ROUNDOFF * (2.0 * depth * abs_sum + 104.0)
+    bound = _S_remainder(r, big_t) + quadrature + rounding
+    if bound > tol:
+        raise NumericError(
+            f"the panel rule certifies S({r}) only to {bound:.3g}, above tol {tol}")
+    return PanelRule(width, panels, bound)
 
-    big_t = max(50.0, 40.0 / r)
-    while 2.0 * (big_t + 1.0) * math.exp(-big_t) >= tol / 2:
-        big_t *= 1.5
 
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        return t * math.sin(r * t) / math.expm1(t)
+def eval_S_integral(r: float, tol: float = 1e-10) -> float:
+    """S(r) via its integral representation (1/r) int_0^inf t sin(rt)/(e^t-1) dt,
+    by the 24-point Gauss-Legendre rule `_gauss_rule` on each of the panels of
+    `S_integral_rule(r, tol)`, whose ``error_bound`` (at most tol, else
+    NumericError) bounds |S(r) - value| as the sum of three terms:
 
-    limit = max(200, int(4.0 * r * big_t / math.pi) + 50)
-    val, abserr, info, *rest = integrate.quad(
-        integrand, 0.0, big_t, epsabs=tol / 2, epsrel=1e-13,
-        limit=limit, full_output=1,
-    )
-    if rest:  # non-empty message => quadrature warning
-        raise NumericError(f"quadrature did not converge: {rest[0]}")
-    if abserr > 100 * tol:
-        raise NumericError(f"quadrature error estimate {abserr} exceeds tolerance {tol}")
-    return val / r
+    * the dropped remainder past T = panels * width, `_S_remainder`,
+      below the unit roundoff u = 2^-53 (T does not depend on tol);
+    * the quadrature error, (64/15) (h/2) M rho^(-48) / (rho^2-1) per
+      panel of width h = min(1, 1/r) (Trefethen, Approximation Theory and
+      Approximation Practice, Thm 19.3), with rho = 2+sqrt5 and M the
+      `_panel_majorant` of the integrand on the panel's ellipse;
+    * floating-point rounding: 2 K u sum|w f| for the computed integrand
+      values and their weighted sum, where K counts the roundings along
+      any one summand's path (24 per panel sum, one per panel and chunk
+      summed, 12 in the integrand, weights and scaling) and
+      sum|w f| <= min(2 zeta(3), pi^2/(6r)); plus 104 u for nodes off by
+      up to 8u (t+h), which moves the weighted sum by at most
+      8u int (t+1)^2 t/(e^t-1) dt < 104u.
+
+    The integrand is evaluated in chunks of _PANEL_CHUNK panels, so every
+    temporary holds at most 4096 x 24 = 98304 doubles (768 KiB) whatever r.
+    """
+    rule = S_integral_rule(r, tol)
+    x, w = _gauss_rule()
+    offsets = 0.5 * rule.width * (x + 1.0)
+    total = 0.0
+    for first in range(0, rule.panels, _PANEL_CHUNK):
+        starts = rule.width * np.arange(first, min(first + _PANEL_CHUNK, rule.panels))
+        t = starts[:, None] + offsets
+        total += float(np.sum((t / np.expm1(t) * np.sin(r * t)) @ w))
+    return 0.5 * rule.width * total / r

@@ -1,5 +1,6 @@
 """CLI: argument handling, output formats, exit codes."""
 
+import ast
 import csv
 import io
 import json
@@ -15,6 +16,7 @@ import pytest
 import mathieu_geom
 from mathieu_geom.cli import _FUNCTIONAL_NAMES, main, parse_complex, theorem_matrix
 from mathieu_geom.explorer import records_to_csv, records_to_json, sweep
+from mathieu_geom.series import eval_S
 from mathieu_geom.thresholds import MU_MIN, ThresholdKind, threshold
 
 
@@ -86,6 +88,32 @@ class TestEval:
         data = json.loads(out)
         # Alzer bounds at r = 1
         assert 1.0 / (1.0 + 1.0 / 1.2) < data["value"] < 1.0 / (1.0 + 1.0 / 6.0)
+
+    def test_S_integral_reports_its_bound(self, capsys):
+        code, out, _ = run(capsys, "eval", "--family", "S-integral", "--r", "2",
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert set(data) == {"value", "error_bound", "nodes"}
+        assert data["error_bound"] <= 1e-12
+        assert data["nodes"] % 24 == 0
+
+    @pytest.mark.parametrize("r", ["1e-3", "1e-2", "0.05"])
+    def test_S_integral_small_r(self, capsys, r):
+        # r below about 0.056 once overflowed math.expm1 with a traceback
+        code, out, _ = run(capsys, "eval", "--family", "S-integral", "--r", r,
+                           "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        series = eval_S(float(r), 1e-10)
+        assert abs(data["value"] - series.value) <= data["error_bound"] + series.tail_bound
+
+    def test_S_integral_uncertifiable_tol_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--family", "S-integral", "--r", "2",
+                             "--tol", "1e-16")
+        assert code == 2
+        assert out == ""
+        assert "certifies" in err
 
     def test_S_requires_r(self, capsys):
         code, *_ = run(capsys, "eval", "--family", "S")
@@ -359,6 +387,22 @@ class TestColdImport:
         code = ("from mathieu_geom.cli import main; "
                 "assert main(['verify', '--inequality', 'eq-total', '--samples', '1000']) == 0")
         assert self._scipy_modules_after(code) == "[]"
+
+    def test_eval_S_integral_loads_no_scipy(self):
+        code = ("from mathieu_geom.cli import main; "
+                "assert main(['eval', '--family', 'S-integral', '--r', '2', '--format', 'json']) == 0")
+        assert self._scipy_modules_after(code) == "[]"
+
+    @pytest.mark.parametrize("path", sorted(Path(mathieu_geom.__file__).parent.glob("*.py")),
+                             ids=lambda p: p.name)
+    def test_no_module_imports_scipy(self, path):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert not {m for m in imported if m.split(".")[0] == "scipy"}
 
 
 class TestDerivedTables:

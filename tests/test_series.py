@@ -1,24 +1,40 @@
 """Series core: coefficients, evaluation, classical Mathieu series."""
 
+import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieu_geom.params import (
     EvalDomainError,
+    NumericError,
     ParameterDomainError,
     TruncationError,
 )
 from mathieu_geom.series import (
+    _GAUSS_N,
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
+    _LOG_FACTORIAL_TABLE,
+    _PANEL_CHUNK,
+    _REACH,
+    _RHO,
     ZETA3,
     CoefficientSeq,
     Family,
     FunctionSequence,
     ParamSet,
+    S_integral_rule,
+    _gauss_rule,
+    _panel_majorant,
     eval_S,
     eval_S_integral,
     eval_series,
+    log_factorial,
 )
 
 MU_GRID = [0.5, 1.0, 2.0, 5.0]
@@ -216,6 +232,114 @@ class TestClassicalMathieu:
             eval_S(-1.0)
         with pytest.raises(ParameterDomainError):
             eval_S_integral(0.0)
+
+
+class TestSIntegral:
+    """The panel rule for S(r) and its error bound."""
+
+    @settings(max_examples=40)
+    @given(log_r=st.floats(math.log(1e-3), math.log(1e3)))
+    def test_within_bound_of_quad(self, log_r):
+        from scipy import integrate
+
+        r = math.exp(log_r)
+        # QAWO on [0, 60]; the remainder past 60 is below 1e-22
+        val, abserr = integrate.quad(lambda t: t / math.expm1(t) if t else 1.0, 0.0, 60.0,
+                                     weight="sin", wvar=r, epsabs=1e-15, epsrel=1e-13)
+        rule = S_integral_rule(r)
+        assert abs(eval_S_integral(r) - val / r) <= rule.error_bound + abserr / r + 1e-22
+
+    @pytest.mark.parametrize("r,start", [(1e-3, 0.0), (0.05, 0.0), (0.5, 3.0),
+                                         (1.0, 0.0), (2.0, 0.5), (40.0, 0.0), (1e4, 7.0)])
+    def test_majorant_bounds_integrand_on_ellipse(self, r, start):
+        # sanity oracle: by the maximum principle the boundary decides
+        width = min(1.0, 1.0 / r)
+        theta = np.linspace(0.0, 2.0 * np.pi, 20001)
+        s = 0.5 * (_RHO * np.exp(1j * theta) + np.exp(-1j * theta) / _RHO)
+        t = start + 0.5 * width * (1.0 + s)
+        assert np.max(np.abs(t.imag)) == pytest.approx(width)
+        f = np.abs(t * np.sin(r * t) / (r * np.expm1(t)))
+        radius = start + (1.0 + _REACH) * width
+        assert np.max(np.abs(t)) <= radius * (1.0 + 1e-15)
+        assert np.max(f) <= _panel_majorant(r, width, start, radius)
+
+    def test_large_r_within_bound_of_series(self):
+        r = 1e4
+        rule = S_integral_rule(r, 1e-12)
+        series = eval_S(r, 1e-14, n_max=10**7)
+        tracemalloc.start()
+        try:
+            value = eval_S_integral(r, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(value - series.value) <= rule.error_bound + series.tail_bound
+        # chunked: a few temporaries of one chunk, not the 59 MB of all nodes
+        chunk_bytes = 8 * _PANEL_CHUNK * _GAUSS_N
+        assert rule.nodes * 8 > 50 * chunk_bytes
+        assert peak < 8 * chunk_bytes
+
+    def test_gauss_table_regenerated(self):
+        # Newton's method at 50 digits from numpy's nodes, then the weights
+        # 2 (1-x^2) / (n P_(n-1)(x))^2; the table is these, correctly rounded
+        def legendre(x):
+            p_prev, p = decimal.Decimal(1), x
+            for k in range(2, _GAUSS_N + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            return p, p_prev
+
+        start, numpy_weights = np.polynomial.legendre.leggauss(_GAUSS_N)
+        nodes, weights = [], []
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for x0 in start[_GAUSS_N // 2:].tolist():
+                x = decimal.Decimal(x0)
+                for _ in range(3):
+                    p, p_prev = legendre(x)
+                    x -= p * (x * x - 1) / (_GAUSS_N * (x * p - p_prev))
+                p, p_prev = legendre(x)
+                nodes.append(float(x))
+                weights.append(float(2 * (1 - x * x) / (_GAUSS_N * p_prev) ** 2))
+        assert tuple(nodes) == _GAUSS_NODES
+        assert tuple(weights) == _GAUSS_WEIGHTS
+        x, w = _gauss_rule()
+        assert np.allclose(x, start, rtol=0, atol=1e-15)
+        assert np.allclose(w, numpy_weights, rtol=1e-12, atol=0)
+
+    def test_value_does_not_depend_on_tol(self):
+        assert eval_S_integral(2.0, 1e-6) == eval_S_integral(2.0, 1e-13)
+
+    @pytest.mark.parametrize("r,tol", [(2.0, 1e-15), (1e9, 1e-12)])
+    def test_uncertifiable_tol_raises(self, r, tol):
+        with pytest.raises(NumericError):
+            eval_S_integral(r, tol)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, -1.0])
+    def test_domain_errors(self, r):
+        with pytest.raises(ParameterDomainError):
+            S_integral_rule(r)
+        with pytest.raises(ParameterDomainError):
+            S_integral_rule(1.0, math.nan)
+
+
+class TestLogFactorial:
+    @pytest.mark.parametrize("x", [0, 7, 4095, 4096, 0.5, 5.0, 170.25])
+    def test_scalar_matches_array_paths(self, x):
+        # the table (integer), per-element (float) and scalar paths agree bitwise
+        got = log_factorial(x)
+        assert isinstance(got, float)
+        assert got == math.lgamma(x + 1.0)
+        assert log_factorial(np.array(x)) == got
+        assert log_factorial(np.array([x]))[0] == got
+        assert log_factorial(np.array([float(x)]))[0] == got
+
+    def test_table_equals_lgamma(self):
+        n = np.arange(_LOG_FACTORIAL_TABLE)
+        assert log_factorial(n).tolist() == [math.lgamma(k + 1.0) for k in range(n.size)]
+
+    def test_array_shape_kept(self):
+        x = np.array([[0.5, 2.5], [3.5, 4.5]])
+        assert log_factorial(x).shape == (2, 2)
 
 
 class TestExampleSums:
