@@ -1,14 +1,16 @@
 """Coefficient-sequence criteria for close-to-convexity and starlikeness.
 
 Each criterion is a finite-prefix check on a normalized sequence
-(a_1 = 1): a chain of inequalities is scanned for n <= N and the result
-is reported with the minimum margin and, on failure, a witness.
+(a_1 = 1): an ordered list of inequalities lhs_n >= rhs_n, one scan
+each, combined into a report with the minimum margin and, on failure,
+the witness of the first failing scan.
 
-Chain comparisons use slack = 1e-12 * max(1, |lhs|, |rhs|) so that
-borderline sequences (e.g. a_n = 1/n, where the chains hold with
-equality) are reported Verified rather than flipping on rounding noise.
-Where both compared values underflow to 0, log magnitudes decide the
-order instead.
+Every condition is scanned per element with its own slack, 1e-12 *
+max(1, |lhs_n|, |rhs_n|): the monotone chains, Ozaki's end t_N >= 0 and
+cap t_n <= 2, and the half-plane positivity and convexity.  The slack
+keeps borderline sequences (e.g. a_n = 1/n, where the chains hold with
+equality) Verified rather than flipping on rounding noise.  Where both
+compared values underflow to 0, log magnitudes decide the order instead.
 """
 
 from __future__ import annotations
@@ -87,18 +89,17 @@ def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool):
     return n * vals, logs + np.log(n)
 
 
-def _chain_scan(lhs: np.ndarray, rhs: np.ndarray,
-                lhs_log: Optional[np.ndarray] = None,
-                rhs_log: Optional[np.ndarray] = None):
+def _chain_scan(lhs, rhs, lhs_log: Optional[np.ndarray] = None,
+                rhs_log: Optional[np.ndarray] = None, first: int = 1):
     """Scan lhs[k] >= rhs[k] for all k; return (min_margin, witness).
 
-    A chain on one sequence is scanned through shifted views of it:
-    (v[:-1], v[1:]) for non-increasing, (v[1:], v[:-1]) for
-    non-decreasing.  witness is the first of the worst slack-exceeding
-    violations, or None.  Where both sides are below the underflow
-    threshold the order of the log magnitudes decides (their linear
-    margin is an uninformative 0.0), and a violation there has margin
-    -exp(rhs_log).
+    Either side may be a scalar.  A chain on one sequence is scanned
+    through shifted views of it: (v[:-1], v[1:]) for non-increasing,
+    (v[1:], v[:-1]) for non-decreasing.  witness is the first of the
+    worst slack-exceeding violations, or None; element k is index n =
+    first + k.  Where both sides are below the underflow threshold the
+    order of the log magnitudes decides (their linear margin is an
+    uninformative 0.0), and a violation there has margin -exp(rhs_log).
     """
     margin = lhs - rhs
     violated = margin < -comparison_slack(lhs, rhs)
@@ -111,112 +112,79 @@ def _chain_scan(lhs: np.ndarray, rhs: np.ndarray,
         margin[hit] = [-math.exp(x) for x in rhs_log[hit]]
 
     # min_margin as a running min() would give it: NaNs never win, and
-    # of equal minima (0.0 and -0.0) the first one is kept.
-    comparable = margin[~np.isnan(margin)]
-    min_margin = (float(comparable[np.argmax(comparable == comparable.min())])
-                  if comparable.size else math.inf)
+    # of equal minima (0.0 and -0.0) the first one is kept, as by argmin
+    min_margin = float(margin[np.argmin(margin)])
+    if math.isnan(min_margin):
+        comparable = margin[~np.isnan(margin)]
+        min_margin = float(comparable[np.argmin(comparable)]) if comparable.size else math.inf
+    if not min_margin < 0.0:
+        return min_margin, None
     worst = np.flatnonzero(violated & (margin < 0.0))
     if not worst.size:
         return min_margin, None
     k = int(worst[np.argmin(margin[worst])])
-    return min_margin, Witness(k + 1, float(lhs[k]), float(rhs[k]))
+    lhs_k, rhs_k = (float(side[k] if np.ndim(side) else side) for side in (lhs, rhs))
+    return min_margin, Witness(first + k, lhs_k, rhs_k)
+
+
+def _report(criterion: Criterion, n_terms: int, scans: list, detail: str = "") -> CriterionReport:
+    """Combine an ordered list of scans into one report: min_margin is the
+    least over all scans, and the first scan with a witness makes the
+    report Falsified and names that witness."""
+    witness = next((w for _, w in scans if w), None)
+    status = Status.VERIFIED if witness is None else Status.FALSIFIED
+    return CriterionReport(criterion.value, status, n_terms, min(m for m, _ in scans),
+                           witness=witness, detail=detail)
 
 
 def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Ozaki chain condition on (n+1) a_{n+1}: either the decreasing
     chain 1 >= 2 a_2 >= ... >= 0 or the increasing chain bounded by 2.
 
-    A Verified report names the branch in ``detail``.
+    A Verified report names the branch in ``detail``; a Falsified one
+    carries the decreasing branch's witness.
     """
     t, logs = _prefix(c, n_terms, 3, weighted=True)  # t_1 = 1 by normalization
 
     # decreasing branch: t non-increasing and t_N >= 0
-    dec_margin, dec_witness = _chain_scan(t[:-1], t[1:], logs[:-1], logs[1:])
-    last = float(t[-1])
-    if last < -comparison_slack(last, 0.0):
-        dec_margin = min(dec_margin, last)
-        dec_witness = dec_witness or Witness(n_terms, last, 0.0)
-        dec_ok = False
-    else:
-        dec_ok = dec_witness is None
-    if dec_ok:
-        return CriterionReport(
-            Criterion.OZAKI_DECREASING.value, Status.VERIFIED, n_terms,
-            dec_margin, detail="decreasing branch",
-        )
-
+    dec = [_chain_scan(t[:-1], t[1:], logs[:-1], logs[1:]),
+           _chain_scan(t[-1:], 0.0, first=n_terms)]
+    report = _report(Criterion.OZAKI_DECREASING, n_terms, dec, "decreasing branch")
+    if report.ok:
+        return report
     # increasing branch: t non-decreasing and t_n <= 2
-    inc_margin, inc_witness = _chain_scan(t[1:], t[:-1], logs[1:], logs[:-1])
-    cap_margin = float(np.min(2.0 - t))
-    inc_ok = inc_witness is None and cap_margin >= -comparison_slack(2.0, float(np.max(t)))
-    inc_margin = min(inc_margin, cap_margin)
-    if inc_ok:
-        return CriterionReport(
-            Criterion.OZAKI_INCREASING.value, Status.VERIFIED, n_terms,
-            inc_margin, detail="increasing branch",
-        )
-
-    # the decreasing branch failed, so dec_witness is set
-    return CriterionReport(
-        Criterion.OZAKI_DECREASING.value, Status.FALSIFIED, n_terms,
-        min(dec_margin, inc_margin), witness=dec_witness, detail="both branches violated",
-    )
+    inc = [_chain_scan(t[1:], t[:-1], logs[1:], logs[:-1]), _chain_scan(2.0, t)]
+    report = _report(Criterion.OZAKI_INCREASING, n_terms, inc, "increasing branch")
+    if report.ok:
+        return report
+    return _report(Criterion.OZAKI_DECREASING, n_terms, dec + inc, "both branches violated")
 
 
 def check_fejer_starlike(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Fejer starlikeness: {n a_n} and {n a_n - (n+1) a_{n+1}} both
     non-increasing."""
     t, logs = _prefix(c, n_terms, 3, weighted=True)
-
-    m1, w1 = _chain_scan(t[:-1], t[1:], logs[:-1], logs[1:])
     d = t[:-1] - t[1:]
-    m2, w2 = _chain_scan(d[:-1], d[1:])
-    min_margin = min(m1, m2)
-    witness = w1 or w2
-    status = Status.VERIFIED if witness is None else Status.FALSIFIED
-    detail = "" if witness is None else ("first chain" if w1 else "difference chain")
-    return CriterionReport(
-        Criterion.FEJER_STARLIKE.value, status, n_terms, min_margin,
-        witness=witness, detail=detail,
-    )
+    scans = [_chain_scan(t[:-1], t[1:], logs[:-1], logs[1:]), _chain_scan(d[:-1], d[1:])]
+    (_, w1), (_, w2) = scans
+    detail = "first chain" if w1 else "difference chain" if w2 else ""
+    return _report(Criterion.FEJER_STARLIKE, n_terms, scans, detail)
 
 
-def check_fejer_halfplane(
-    c: CoefficientSeq,
-    n_terms: int = DEFAULT_TERMS,
-    index_weighted: bool = False,
-) -> CriterionReport:
+def check_fejer_halfplane(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS,
+                          index_weighted: bool = False) -> CriterionReport:
     """Fejer half-plane lemma hypotheses: the sequence is non-negative,
-    non-increasing and convex.
+    non-increasing and convex (v_n + v_{n+2} >= 2 v_{n+1}).
 
     With index_weighted=True the check applies to {n a_n} (the
     derivative-series coefficients) instead of {a_n}.
     """
-    vals, logs = _prefix(c, n_terms, 3, index_weighted)
-
-    neg_margin = float(np.min(vals))
-    neg_witness = None
-    if neg_margin < -comparison_slack(neg_margin, 0.0):
-        k = int(np.argmin(vals))
-        neg_witness = Witness(k + 1, float(vals[k]), 0.0)
-
-    m1, w1 = _chain_scan(vals[:-1], vals[1:], logs[:-1], logs[1:])
-    second_diff = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    conv_margin = float(np.min(second_diff))
-    conv_witness = None
-    k = int(np.argmin(second_diff))
-    if conv_margin < -comparison_slack(float(vals[k]), float(2.0 * vals[k + 1])):
-        conv_witness = Witness(
-            k + 1, float(vals[k] + vals[k + 2]), float(2.0 * vals[k + 1])
-        )
-
-    min_margin = min(neg_margin, m1, conv_margin)
-    witness = neg_witness or w1 or conv_witness
-    status = Status.VERIFIED if witness is None else Status.FALSIFIED
-    return CriterionReport(
-        Criterion.FEJER_HALFPLANE.value, status, n_terms, min_margin,
-        witness=witness,
-    )
+    v, logs = _prefix(c, n_terms, 3, index_weighted)
+    return _report(Criterion.FEJER_HALFPLANE, n_terms, [
+        _chain_scan(v, 0.0),
+        _chain_scan(v[:-1], v[1:], logs[:-1], logs[1:]),
+        _chain_scan(v[:-2] + v[2:], 2.0 * v[1:-1]),
+    ])
 
 
 def _goodman_tail(c: CoefficientSeq, n_terms: int, weighted: np.ndarray):

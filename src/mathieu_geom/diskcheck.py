@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .params import ConfigurationError, DegeneratePointError, ParamSet
+from .params import ConfigurationError, DegeneratePointError, ParamSet, ParameterDomainError
 from .series import CoefficientSeq, Family, SequenceBase, truncated_coeffs
 
 DEFAULT_TOLERANCE = 1e-9
@@ -203,6 +203,8 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     |z| <= grid.max_radius from its boundary circle, sampled first at
     grid.n_angles points (see the module docstring).  A Starlike winding
     number other than 0 is Violated, reported at the least lattice value."""
+    if not 0.0 <= tolerance < math.inf:  # also NaN
+        raise ParameterDomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     functional = Functional(functional)
     grid = grid or DiskGrid()
     rho, bound = grid.max_radius, FUNCTIONAL_BOUND[functional]

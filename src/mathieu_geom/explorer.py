@@ -83,12 +83,12 @@ def bisect_failure_r(
 ) -> ThresholdRecord:
     """Bisect r over [sufficient_r, r_hi] for the first failing verdict."""
     kind = ThresholdKind(kind)
-    if tol <= 0:
+    if not tol > 0:  # also NaN
         raise ConfigurationError(f"tol must be > 0, got {tol}")
     sufficient_r = threshold(kind, mu)
     if r_hi is None:
         r_hi = 4.0 * sufficient_r
-    if r_hi <= sufficient_r:
+    if not r_hi > sufficient_r:
         raise ConfigurationError(f"r_hi {r_hi} must exceed sufficient_r {sufficient_r}")
 
     def passes(r: float) -> bool:
@@ -147,6 +147,8 @@ def sweep(
     mu_grid = sorted((float(m) for m in mu_grid), key=lambda m: (math.isnan(m), m))
     if not kinds or not mu_grid:
         raise ConfigurationError("kinds and mu_grid must be non-empty")
+    if not tol > 0:  # not row-local: every row would fail alike
+        raise ConfigurationError(f"tol must be > 0, got {tol}")
     records = []
     for kind in kinds:
         for mu in mu_grid:

@@ -256,7 +256,7 @@ def eval_series(
     partial EvalResult, if no such N lies within n_max terms; that
     includes every sequence whose tail never turns non-increasing.
     """
-    if tol <= 0:
+    if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
     if n_max < 1:
         raise ParameterDomainError(f"n_max must be >= 1, got {n_max}")
@@ -288,7 +288,7 @@ def eval_S(r: float, tol: float = DEFAULT_TOL, n_max: int = N_MAX) -> EvalResult
     """
     if not (r > 0):
         raise ParameterDomainError(f"r must be > 0, got {r}")
-    if tol <= 0:
+    if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
     total = 0.0
     n_done = 0

@@ -239,13 +239,17 @@ def phi_of_x(x: float, p: ParamSet) -> float:
 
 
 def phi_convexity_check(p: ParamSet) -> bool:
-    """phi(1) >= 0 and phi'(x) >= 0 sampled at 500 points of x in [1, 50]."""
+    """phi(1) >= 0 and phi'(x) >= 0 for every x >= 1.
+
+    phi'(x) = 2x (2(2 mu^2 + mu) x^2 - (5 mu + 3) r^2), whose bracket
+    increases with x, so phi' >= 0 on all of [1, inf) exactly when
+    phi'(1) >= 0, i.e. when 2(2 mu^2 + mu) >= (5 mu + 3) r^2.
+    """
     if phi_of_x(1.0, p) < -1e-12 * max(1.0, p.r ** 4):
         return False
     mu, r = p.mu, p.r
-    x = np.linspace(1.0, 50.0, 500)
-    dphi = 4.0 * x ** 3 * (2.0 * mu * mu + mu) - 2.0 * (3.0 + 5.0 * mu) * r * r * x
-    return bool(np.all(dphi >= -1e-12 * np.maximum(1.0, np.abs(dphi))))
+    dphi = 4.0 * (2.0 * mu * mu + mu) - 2.0 * (3.0 + 5.0 * mu) * r * r  # phi'(1)
+    return dphi >= -1e-12 * max(1.0, abs(dphi))
 
 
 # --- inequality ledger ------------------------------------------------------

@@ -151,6 +151,24 @@ def test_non_finite_mu_or_r_exits_2(capsys, argv):
     assert out == "" and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--functional", "starlike", "--family", "F", "--mu", "1", "--r", "0.6",
+     "--tolerance", "-1"],
+    ["verify", "--functional", "starlike", "--family", "F", "--mu", "1", "--r", "0.6",
+     "--tolerance", "nan"],
+    ["sweep", "--kinds", "F_Starlike,F_CloseToConvex", "--mu-grid", "1", "--tol", "nan"],
+    ["eval", "--family", "F", "--mu", "1", "--r", "1", "--z", "0.5", "--tol", "nan"],
+    ["eval", "--family", "S", "--r", "2", "--tol", "nan"],
+], ids=["verify-negative", "verify-nan", "sweep-nan", "eval-F-nan", "eval-S-nan"])
+def test_bad_tolerance_exits_2(capsys, argv):
+    # a NaN tolerance once passed every comparison it met: sweep returned
+    # empirical_r = sufficient_r, eval summed 10^6 terms; a negative one
+    # turned a margin of 0.86 into Violated
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "must be" in err
+
+
 class TestVerify:
     def test_criterion_pass_and_fail_exit_codes(self, capsys):
         code_ok, out, _ = run(capsys, "verify", "--criterion", "fejer-starlike",

@@ -1,5 +1,7 @@
 """Sequence criteria: Ozaki, Fejer (both), Goodman, kernel identity."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathieu_geom import criteria
 from mathieu_geom.criteria import (
     CRITERIA,
     Status,
@@ -119,6 +122,18 @@ class TestFejerHalfPlane:
         rep = check_fejer_halfplane(seq_F(0.5, 3.0))
         assert rep.status is Status.FALSIFIED
         assert rep.witness is not None
+
+    def test_convexity_checks_every_second_difference(self):
+        # the least second difference (-1.8e-12 at n = 1) is within its
+        # slack, but at n = 699 a smaller one (-1.5e-12) exceeds its own
+        # slack of 1.0e-12: testing only the least one missed it
+        seq = FunctionSequence(lambda n: 1 - 7e-4 * (n - 1) + 9e-13 * (n == 2)
+                               + 7.5e-13 * (n == 700))
+        rep = check_fejer_halfplane(seq, 1000)
+        assert rep.status is Status.FALSIFIED
+        assert rep.witness.n == 699
+        assert rep.witness.lhs == pytest.approx(1.0214, abs=1e-12)
+        assert rep.witness.margin < -comparison_slack(rep.witness.lhs, rep.witness.rhs)
 
     def test_q_large_n_underflow_handled(self):
         # beyond n ~ 25 the Q coefficients underflow to 0.0; the
@@ -318,3 +333,111 @@ class TestChainScan:
         v = np.array([1.0, 2.0, 1.0, 2.0])
         margin, witness = _chain_scan(v[:-1], v[1:])
         assert margin == -1.0 and witness == Witness(1, 1.0, 2.0)
+
+
+def _scan_loop(pairs, first=1):
+    """(min_margin, witness) of lhs >= rhs over (lhs, rhs) pairs, one n at a
+    time from n = first."""
+    min_margin, witness, worst = math.inf, None, 0.0
+    for k, (lhs, rhs) in enumerate(pairs):
+        margin = lhs - rhs
+        min_margin = min(min_margin, margin)
+        if margin < -comparison_slack(lhs, rhs) and margin < worst:
+            worst, witness = margin, Witness(first + k, lhs, rhs)
+    return min_margin, witness
+
+
+def _combined(scans):
+    """(status, witness, min_margin): the first failing condition names the
+    witness, the margin is the least of all."""
+    witness = next((w for _, w in scans if w), None)
+    status = Status.VERIFIED if witness is None else Status.FALSIFIED
+    return status, witness, min(m for m, _ in scans)
+
+
+def _ozaki_loop(a, logs):
+    n = np.arange(1, len(a) + 1)
+    t, tlogs = [float(x) for x in n * a], logs + np.log(n)
+    dec = [_chain_nonincreasing(t, tlogs), _scan_loop([(t[-1], 0.0)], first=len(t))]
+    inc = [_chain_nondecreasing(t, tlogs), _scan_loop([(2.0, x) for x in t])]
+    if _combined(dec)[0] is Status.VERIFIED:
+        return (*_combined(dec), "decreasing branch")
+    if _combined(inc)[0] is Status.VERIFIED:
+        return (*_combined(inc), "increasing branch")
+    return (*_combined(dec + inc), "both branches violated")
+
+
+def _starlike_loop(a, logs):
+    n = np.arange(1, len(a) + 1)
+    t, tlogs = [float(x) for x in n * a], logs + np.log(n)
+    d = [t[k] - t[k + 1] for k in range(len(t) - 1)]
+    scans = [_chain_nonincreasing(t, tlogs), _chain_nonincreasing(d)]
+    names = ["first chain", "difference chain"]
+    detail = next((name for name, (_, w) in zip(names, scans) if w), "")
+    return (*_combined(scans), detail)
+
+
+def _halfplane_loop(a, logs, weighted=False):
+    if weighted:
+        n = np.arange(1, len(a) + 1)
+        a, logs = n * a, logs + np.log(n)
+    v = [float(x) for x in a]
+    scans = [
+        _scan_loop([(x, 0.0) for x in v]),
+        _chain_nonincreasing(v, logs),
+        _scan_loop([(v[k] + v[k + 2], 2.0 * v[k + 1]) for k in range(len(v) - 2)]),
+    ]
+    return (*_combined(scans), "")
+
+
+# perturbations around the slack of 1e-12, mostly 0 so that a few stand
+# alone; steps that make ties, or one step throughout, whose second
+# differences are then the perturbations' alone
+_NUDGE = st.sampled_from([0.0] * 10 + [4e-13, -4e-13, 9e-13, -9e-13, 1.5e-12, -1.5e-12,
+                                       3e-12, -3e-12])
+_STEP = st.one_of(st.sampled_from([0.0, 1e-3, 0.05]), st.floats(0.0, 0.2))
+_STEPS = st.one_of(
+    st.lists(_STEP, min_size=2, max_size=60),
+    st.tuples(st.floats(0.005, 0.05), st.integers(2, 60)).map(lambda c: [c[0]] * c[1]),
+)
+
+
+class TestOneScanRule:
+    @settings(max_examples=300)
+    @given(steps=_STEPS, data=st.data(), per_n=st.booleans())
+    def test_criteria_match_per_n_loops(self, steps, data, per_n):
+        # a_n = 1 - s_n, falling below 0 once the partial step sums s_n
+        # pass 1, or a_n = (1 + s_n/4)/n, whose n a_n rises past 2 (Ozaki's
+        # increasing branch and its cap); then a_2.. nudged by about the slack
+        nudges = data.draw(st.lists(_NUDGE, min_size=len(steps), max_size=len(steps)))
+        s = np.concatenate([[0.0], np.cumsum(steps)])
+        a = (1.0 + s / 4.0) / np.arange(1, len(s) + 1) if per_n else 1.0 - s
+        a[1:] += nudges
+        seq = FunctionSequence(lambda n: a[n.astype(int) - 1])
+        big_n = len(a)
+        with np.errstate(invalid="ignore"):
+            logs = np.log(a)
+        cases = [
+            (check_ozaki(seq, big_n), _ozaki_loop(a, logs)),
+            (check_fejer_starlike(seq, big_n), _starlike_loop(a, logs)),
+            (check_fejer_halfplane(seq, big_n), _halfplane_loop(a, logs)),
+            (check_fejer_halfplane(seq, big_n, index_weighted=True),
+             _halfplane_loop(a, logs, weighted=True)),
+        ]
+        for rep, (status, witness, min_margin, detail) in cases:
+            assert (rep.status, rep.witness, rep.detail) == (status, witness, detail)
+            assert rep.min_margin == pytest.approx(min_margin, abs=1e-14)
+
+
+def test_slack_applied_only_in_chain_scan():
+    # every condition goes through _chain_scan: no other code in the
+    # module compares against its own slack
+    tree = ast.parse(inspect.getsource(criteria))
+    scan = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_chain_scan")
+    inside = {id(node) for node in ast.walk(scan)}
+    uses = [node.lineno for node in ast.walk(tree)
+            if id(node) not in inside
+            and ("comparison_slack" == getattr(node, "id", None)
+                 or "comparison_slack" == getattr(node, "attr", None))]
+    assert uses == []

@@ -264,6 +264,21 @@ class TestAuxiliaryFunctions:
         assert phi_convexity_check(ParamSet(1.0, 0.6)) is True
         assert phi_convexity_check(ParamSet(1.0, 0.7)) is False
 
+    @settings(max_examples=300)
+    @given(mu=st.floats(0.01, 100.0), r=st.floats(0.01, 100.0),
+           near=st.booleans(), eps=st.floats(-1e-6, 1e-6))
+    def test_phi_check_matches_dense_sample(self, mu, r, near, eps):
+        # oracle: phi(1) and phi' sampled densely on [1, 1e4], each with the
+        # relative slack; near=True puts r within 1e-6 of where phi'(1) = 0
+        if near:
+            r = math.sqrt(2.0 * (2.0 * mu * mu + mu) / (5.0 * mu + 3.0)) * (1.0 + eps)
+        x = np.concatenate([np.linspace(1.0, 10.0, 20001), np.geomspace(10.0, 1e4, 2000)])
+        phi1 = (mu + 2.0 * mu * mu) - (3.0 + 5.0 * mu) * r * r + r ** 4
+        dphi = 4.0 * x ** 3 * (2.0 * mu * mu + mu) - 2.0 * (3.0 + 5.0 * mu) * r * r * x
+        expected = bool(phi1 >= -1e-12 * max(1.0, r ** 4)
+                        and np.all(dphi >= -1e-12 * np.maximum(1.0, np.abs(dphi))))
+        assert phi_convexity_check(ParamSet(mu, r)) is expected
+
     def test_phi_coherent_with_starlike_threshold(self):
         for mu in [0.5, 1.0, 2.0, 5.0]:
             r_star = threshold("F_Starlike", mu)
