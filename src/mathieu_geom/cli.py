@@ -65,7 +65,7 @@ def _grid_from_flags(args) -> DiskGrid:
 
 
 def _emit(payload: dict | list, rows: list[dict], args) -> None:
-    """Render one result: json payload, csv rows, or human key: value lines."""
+    """Render one result to --out or stdout: json payload, csv rows, or human lines."""
     fmt = args.format
     if fmt == "json":
         out = json.dumps(payload, indent=2)
@@ -78,8 +78,10 @@ def _emit(payload: dict | list, rows: list[dict], args) -> None:
             writer.writeheader()
             writer.writerows(rows)
         out = buf.getvalue().rstrip("\n")
-    else:
+    elif isinstance(payload, dict):
         out = "\n".join(f"{k}: {v}" for k, v in payload.items())
+    else:  # human lines the command rendered itself
+        out = "\n".join(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
@@ -238,12 +240,9 @@ def cmd_theorems(args) -> int:
     levels = ("sequence", "disk") if args.level == "both" else (args.level,)
     rows = theorem_matrix(_parse_mu_grid(args), n_terms=args.terms,
                           grid=_grid_from_flags(args), levels=levels)
-    if args.format == "human":
-        for row in rows:
-            mark = "PASS" if row["pass"] else "FAIL"
-            print(f"{mark} {row['kind']:>18s} mu={row['mu']:<6g} r={row['r']:.6f}")
-    else:
-        _emit({"matrix": rows}, rows, args)
+    human = [f"{'PASS' if row['pass'] else 'FAIL'} {row['kind']:>18s} "
+             f"mu={row['mu']:<6g} r={row['r']:.6f}" for row in rows]
+    _emit(human if args.format == "human" else {"matrix": rows}, rows, args)
     return 0 if all(row["pass"] for row in rows) else 1
 
 

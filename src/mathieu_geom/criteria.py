@@ -25,13 +25,13 @@ import numpy as np
 from .params import (
     ConfigurationError,
     NormalizationError,
-    ParamSet,
     ParameterDomainError,
     comparison_slack,
 )
 from .series import CoefficientSeq, Family, SequenceBase
 
 DEFAULT_TERMS = 200
+MIN_CHAIN_TERMS = 3  # least prefix of a chain criterion: a second difference needs a_1..a_3
 _UNDERFLOW = 1e-280
 
 
@@ -144,7 +144,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
     A Verified report names the branch in ``detail``; a Falsified one
     carries the decreasing branch's witness.
     """
-    t, logs = _prefix(c, n_terms, 3, weighted=True)  # t_1 = 1 by normalization
+    t, logs = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)  # t_1 = 1 by normalization
 
     # decreasing branch: t non-increasing and t_N >= 0
     dec = [_chain_scan(t[:-1], t[1:], logs[:-1], logs[1:]),
@@ -163,7 +163,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
 def check_fejer_starlike(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Fejer starlikeness: {n a_n} and {n a_n - (n+1) a_{n+1}} both
     non-increasing."""
-    t, logs = _prefix(c, n_terms, 3, weighted=True)
+    t, logs = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)
     d = t[:-1] - t[1:]
     scans = [_chain_scan(t[:-1], t[1:], logs[:-1], logs[1:]), _chain_scan(d[:-1], d[1:])]
     (_, w1), (_, w2) = scans
@@ -179,7 +179,7 @@ def check_fejer_halfplane(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS,
     With index_weighted=True the check applies to {n a_n} (the
     derivative-series coefficients) instead of {a_n}.
     """
-    v, logs = _prefix(c, n_terms, 3, index_weighted)
+    v, logs = _prefix(c, n_terms, MIN_CHAIN_TERMS, index_weighted)
     return _report(Criterion.FEJER_HALFPLANE, n_terms, [
         _chain_scan(v, 0.0),
         _chain_scan(v[:-1], v[1:], logs[:-1], logs[1:]),
@@ -254,23 +254,6 @@ def fejer_kernel_sigma(n: int, theta: float) -> float:
         raise ParameterDomainError(f"theta must be in (0, 2*pi), got {theta}")
     s = math.sin(0.5 * (n + 1) * theta) / math.sin(0.5 * theta)
     return 0.5 * s * s
-
-
-def ozaki_bernoulli_margin(n: int, p: ParamSet) -> float:
-    """Sign-carrying log-domain margin of the Bernoulli-inequality step
-    behind the close-to-convexity theorem for the F family:
-    b_n = n^2 ((n+1)^2+r^2)^(mu+1) - (n+1)^2 (n^2+r^2)^(mu+1),
-    which is >= 0 whenever r <= sqrt(mu).
-
-    Returns log(n^2 ((n+1)^2+r^2)^(mu+1)) - log((n+1)^2 (n^2+r^2)^(mu+1));
-    b_n >= 0 iff the returned value is >= 0.
-    """
-    if n < 1:
-        raise ParameterDomainError(f"n must be >= 1, got {n}")
-    mu, r = p.mu, p.r
-    lhs = 2.0 * math.log(n) + (mu + 1.0) * math.log((n + 1.0) ** 2 + r * r)
-    rhs = 2.0 * math.log(n + 1.0) + (mu + 1.0) * math.log(n * n + r * r)
-    return lhs - rhs
 
 
 # CLI-friendly name -> criterion, in the order the CLI lists them

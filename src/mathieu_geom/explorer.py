@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .criteria import (
     DEFAULT_TERMS,
+    MIN_CHAIN_TERMS,
     check_fejer_halfplane,
     check_fejer_starlike,
     check_ozaki,
@@ -139,9 +140,9 @@ def sweep(
 ) -> list[ThresholdRecord]:
     """One ThresholdRecord per (kind, mu); row order is (kind, mu asc).
 
-    Per-row package errors (e.g. mu below a hypothesis minimum) do not
-    abort the sweep; the row is marked errored with NaN radii.  Any other
-    exception is a bug and propagates.
+    A package error of one row (mu below its hypothesis minimum, r_hi below
+    its threshold) marks that row errored with NaN radii; arguments that fail
+    every row alike raise first.  Any other exception is a bug and propagates.
     """
     kinds = [ThresholdKind(k) for k in kinds]
     mu_grid = sorted((float(m) for m in mu_grid), key=lambda m: (math.isnan(m), m))
@@ -149,6 +150,10 @@ def sweep(
         raise ConfigurationError("kinds and mu_grid must be non-empty")
     if not tol > 0:  # not row-local: every row would fail alike
         raise ConfigurationError(f"tol must be > 0, got {tol}")
+    if r_hi is not None and not 0.0 < r_hi < math.inf:
+        raise ConfigurationError(f"r_hi must be finite and > 0, got {r_hi}")
+    if probe == "sequence" and n_terms < MIN_CHAIN_TERMS:
+        raise ConfigurationError(f"n_terms must be >= {MIN_CHAIN_TERMS}, got {n_terms}")
     records = []
     for kind in kinds:
         for mu in mu_grid:

@@ -286,8 +286,8 @@ def eval_S(r: float, tol: float = DEFAULT_TOL, n_max: int = N_MAX) -> EvalResult
     The tail after N terms is bounded by the integral comparison
     int_N^inf 2x/(x^2+r^2)^2 dx = 1/(N^2+r^2).
     """
-    if not (r > 0):
-        raise ParameterDomainError(f"r must be > 0, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ParameterDomainError(f"r must be finite and > 0, got {r}")
     if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
     total = 0.0

@@ -34,7 +34,7 @@ from .params import (
     ParamSet,
     ParameterDomainError,
 )
-from .series import CoefficientSeq, Family, log_coeff_Q, log_factorial
+from .series import log_coeff_Q, log_factorial
 
 
 class ThresholdKind(str, enum.Enum):
@@ -80,18 +80,6 @@ def hypothesis_pairs(kinds, mu_grid) -> list[tuple[ThresholdKind, float]]:
     non-positive mu is kept for `threshold` to reject."""
     return [(kind, mu) for kind in kinds for mu in mu_grid
             if not mu < MU_MIN.get(kind, 0.0)]
-
-
-def f_decrease_only_radius(mu: float) -> float:
-    """Wider radius sqrt(1+2mu) under which the F coefficients merely
-    decrease (without the convexity needed for the half-plane bound).
-    Exploratory only; not a sufficient radius for any mapping property.
-    """
-    if not mu < math.inf:  # NaN or +inf
-        raise HypothesisError(f"mu must be finite, got {mu}")
-    if mu <= 0:
-        raise HypothesisError(f"mu must be > 0, got {mu}")
-    return math.sqrt(1.0 + 2.0 * mu)
 
 
 # --- digamma / trigamma -----------------------------------------------------
@@ -216,40 +204,6 @@ def g_second_derivative(x, p: ParamSet):
     log_pref = (5.0 * log_g - (p.mu + 3.0) * (2.0 * log_g + np.log1p(u))
                 + (p.mu + 1.0) * math.log1p(p.r ** 2))
     return _signed_exp(log_pref, bracket)
-
-
-def h_diff(n: int, p: ParamSet) -> float:
-    """h(n) = n C_n - (n+1) C_{n+1} for the factorial family."""
-    c_n, c_next = CoefficientSeq(Family.Q, p).values_at(np.array([n, n + 1]))
-    return float(n * c_n - (n + 1) * c_next)
-
-
-def h_tilde_diff(n: int, p: ParamSet) -> float:
-    """h~(n) = C_n - C_{n+1} for the factorial family."""
-    c_n, c_next = CoefficientSeq(Family.Q, p).values_at(np.array([n, n + 1]))
-    return float(c_n - c_next)
-
-
-def phi_of_x(x: float, p: ParamSet) -> float:
-    """Quartic phi(x) = x^4 (mu + 2 mu^2) - x^2 (3+5mu) r^2 + r^4 whose
-    positivity (with phi' >= 0) certifies convexity of the starlikeness
-    comparison function for the F family."""
-    mu, r = p.mu, p.r
-    return x ** 4 * (mu + 2.0 * mu * mu) - x * x * (3.0 + 5.0 * mu) * r * r + r ** 4
-
-
-def phi_convexity_check(p: ParamSet) -> bool:
-    """phi(1) >= 0 and phi'(x) >= 0 for every x >= 1.
-
-    phi'(x) = 2x (2(2 mu^2 + mu) x^2 - (5 mu + 3) r^2), whose bracket
-    increases with x, so phi' >= 0 on all of [1, inf) exactly when
-    phi'(1) >= 0, i.e. when 2(2 mu^2 + mu) >= (5 mu + 3) r^2.
-    """
-    if phi_of_x(1.0, p) < -1e-12 * max(1.0, p.r ** 4):
-        return False
-    mu, r = p.mu, p.r
-    dphi = 4.0 * (2.0 * mu * mu + mu) - 2.0 * (3.0 + 5.0 * mu) * r * r  # phi'(1)
-    return dphi >= -1e-12 * max(1.0, abs(dphi))
 
 
 # --- inequality ledger ------------------------------------------------------

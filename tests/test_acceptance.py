@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from mathieu_geom.cli import theorem_matrix
-from mathieu_geom.criteria import Status, check_goodman, fejer_kernel_sigma
+from mathieu_geom.criteria import (
+    Criterion,
+    Status,
+    check_fejer_halfplane,
+    check_goodman,
+    check_ozaki,
+    fejer_kernel_sigma,
+)
 from mathieu_geom.diskcheck import DiskGrid
 from mathieu_geom.explorer import records_to_csv, sweep
 from mathieu_geom.params import ParamSet
@@ -27,8 +34,6 @@ from mathieu_geom.thresholds import (
     digamma,
     g_of_x,
     g_second_derivative,
-    h_diff,
-    h_tilde_diff,
     trigamma,
     verify_inequality,
 )
@@ -102,19 +107,21 @@ def test_06_inequality_ledger():
 
 
 def test_07_auxiliary_functions():
-    """A and A~ positive on their hypothesis regions, coefficient
-    difference chains non-negative, analytic second derivative matches a
-    finite difference to 1e-6 relative."""
+    """A and A~ positive on their hypothesis regions, the Q coefficients
+    pass Ozaki's decreasing chain and Fejer's half-plane hypotheses there,
+    analytic second derivative matches a finite difference to 1e-6
+    relative."""
     ok = True
     for mu in [2.0, 3.0, 5.0]:
         p = ParamSet(mu, math.sqrt(mu))
         ok = ok and all(A_of_x(float(x), p) > 0 for x in np.linspace(4.0, 20.0, 33))
-        ok = ok and all(h_diff(n, p) >= -1e-15 for n in range(1, 60))
+        rep = check_ozaki(CoefficientSeq(Family.Q, p), 60)
+        ok = ok and rep.ok and rep.criterion == Criterion.OZAKI_DECREASING.value
     for mu in [0.5, 1.0, 2.0]:
         p = ParamSet(mu, math.sqrt(mu))
         ok = ok and all(A_tilde_of_x(float(x), p) > 0
                         for x in np.linspace(3.0, 20.0, 35))
-        ok = ok and all(h_tilde_diff(n, p) >= -1e-15 for n in range(1, 60))
+        ok = ok and check_fejer_halfplane(CoefficientSeq(Family.Q, p), 60).ok
     p = ParamSet(2.0, 1.0)
     x = 5.0
 

@@ -144,6 +144,7 @@ class TestCoeffs:
     ["verify", "--criterion", "ozaki", "--family", "F", "--mu", "1", "--r", "inf"],
     ["eval", "--family", "F", "--mu", "inf", "--r", "1", "--z", "0.5"],
     ["coeffs", "--family", "Q", "--mu", "1", "--r", "inf", "--n", "3"],
+    ["eval", "--family", "S", "--r", "inf"],
 ])
 def test_non_finite_mu_or_r_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -305,6 +306,26 @@ class TestThresholdsAndSweep:
         assert code == 2
         assert out == "" and "mu must be finite" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--r-hi", "nan"), ("--r-hi", "inf"), ("--r-hi", "-1"), ("--terms", "2"),
+    ], ids=["r-hi-nan", "r-hi-inf", "r-hi-negative", "terms-2"])
+    def test_sweep_argument_failing_every_row_exits_2(self, capsys, flag, value):
+        # these once printed one error row per (kind, mu) and exited 0
+        code, out, err = run(capsys, "sweep", "--kinds", "F_Starlike", "--mu-grid", "1",
+                             flag, value)
+        assert code == 2
+        assert out == "" and "must be" in err
+
+    def test_sweep_r_hi_below_one_threshold_is_row_local(self, capsys):
+        # r_hi = 0.8 is above F_Starlike's threshold at mu = 1 (0.628) and
+        # below F_CloseToConvex's (1.0)
+        code, out, _ = run(capsys, "sweep", "--kinds", "F_Starlike,F_CloseToConvex",
+                           "--mu-grid", "1", "--r-hi", "0.8", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [row["status"] for row in rows] == [
+            "no_failure_found", "error: r_hi 0.8 must exceed sufficient_r 1.0"]
+
     def test_sweep_default_kinds_all(self, capsys):
         code, out, _ = run(capsys, "sweep", "--kinds", "all", "--mu-grid", "1",
                            "--format", "json")
@@ -351,6 +372,16 @@ class TestTheorems:
                            "--level", "sequence")
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
+
+    def test_human_format_out_file(self, capsys, tmp_path):
+        # --out was once ignored in the human format
+        argv = ["theorems", "--mu-grid", "1", "--level", "sequence"]
+        _, printed, _ = run(capsys, *argv)
+        path = tmp_path / "matrix.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == printed
+        assert len(printed.splitlines()) == 6
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -20,7 +20,6 @@ from mathieu_geom.criteria import (
     check_goodman,
     check_ozaki,
     fejer_kernel_sigma,
-    ozaki_bernoulli_margin,
 )
 from mathieu_geom.diskcheck import DiskGrid, Functional, verify_functional
 from mathieu_geom.params import (
@@ -233,20 +232,23 @@ class TestSlackAndBernoulli:
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 5.0])
     def test_bernoulli_step_nonnegative(self, mu):
-        # b_n >= 0 for r <= sqrt(mu): the alternative route to the
-        # decreasing chain of the close-to-convexity theorem
+        # b_n = n^2 ((n+1)^2+r^2)^(mu+1) - (n+1)^2 (n^2+r^2)^(mu+1) >= 0 for
+        # r <= sqrt(mu) is Ozaki's decreasing chain n a_n >= (n+1) a_(n+1)
+        # of the close-to-convexity theorem, here for n <= 100
         for r in [0.5 * math.sqrt(mu), math.sqrt(mu)]:
-            p = ParamSet(mu, r)
-            for n in range(1, 101):
-                assert ozaki_bernoulli_margin(n, p) >= -1e-12
+            rep = check_ozaki(seq_F(mu, r), 101)
+            assert rep.ok and rep.criterion == "OzakiDecreasing"
 
     def test_bernoulli_margin_matches_direct(self):
-        # cross-check the log-domain margin sign against direct b_n
-        p = ParamSet(1.0, 1.0)
-        for n in range(1, 11):
-            direct = (n**2 * ((n + 1) ** 2 + 1.0) ** 2
-                      - (n + 1) ** 2 * (n**2 + 1.0) ** 2)
-            assert (ozaki_bernoulli_margin(n, p) >= 0) == (direct >= 0)
+        # the sign of direct b_n at mu = 1 is the sign of t_n - t_(n+1),
+        # t_n = n a_n; at r = 3 > sqrt(mu) it is negative for n = 1, 2
+        for r in [1.0, 3.0]:
+            vals, _ = seq_F(1.0, r).read(11)
+            t = np.arange(1, 12) * vals
+            direct = [n**2 * ((n + 1) ** 2 + r * r) ** 2 - (n + 1) ** 2 * (n**2 + r * r) ** 2
+                      for n in range(1, 11)]
+            assert [d >= 0 for d in direct] == list(t[:-1] - t[1:] >= 0)
+            assert all(d >= 0 for d in direct) == (r == 1.0)
 
 
 # The two per-orientation chain loops that _chain_scan replaced, kept

@@ -230,6 +230,8 @@ class TestClassicalMathieu:
     def test_domain_errors(self):
         with pytest.raises(ParameterDomainError):
             eval_S(-1.0)
+        with pytest.raises(ParameterDomainError, match="finite"):
+            eval_S(math.inf)  # once summed to 0.0 with tail bound 0.0
         with pytest.raises(ParameterDomainError):
             eval_S_integral(0.0)
 

@@ -12,14 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from mathieu_geom.criteria import Status
+from mathieu_geom.criteria import (
+    Criterion,
+    Status,
+    check_fejer_halfplane,
+    check_ozaki,
+)
 from mathieu_geom.params import (
     ConfigurationError,
     HypothesisError,
     NumericError,
     ParameterDomainError,
     ParamSet,
+    comparison_slack,
 )
+from mathieu_geom.series import CoefficientSeq, Family
 from mathieu_geom.thresholds import (
     INEQUALITY_CASES,
     A_of_x,
@@ -27,14 +34,9 @@ from mathieu_geom.thresholds import (
     A_tilde_of_x,
     ThresholdKind,
     digamma,
-    f_decrease_only_radius,
     g_of_x,
     g_second_derivative,
-    h_diff,
-    h_tilde_diff,
     hypothesis_pairs,
-    phi_convexity_check,
-    phi_of_x,
     threshold,
     trigamma,
     _scale,
@@ -44,6 +46,22 @@ from mathieu_geom.thresholds import (
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def phi_at_1(mu, r):
+    """The paper's quartic phi(x) = (2mu^2+mu) x^4 - (5mu+3) r^2 x^2 + r^4
+    at x = 1."""
+    return (mu + 2.0 * mu * mu) - (3.0 + 5.0 * mu) * r * r + r ** 4
+
+
+def phi_oracle(mu, r):
+    """phi(1) >= 0 and phi' >= 0 sampled densely on [1, 1e4], each with
+    the relative slack: the convexity certificate of the F starlikeness
+    comparison function."""
+    x = np.concatenate([np.linspace(1.0, 10.0, 20001), np.geomspace(10.0, 1e4, 2000)])
+    dphi = 4.0 * x ** 3 * (2.0 * mu * mu + mu) - 2.0 * (3.0 + 5.0 * mu) * r * r * x
+    return bool(phi_at_1(mu, r) >= -1e-12 * max(1.0, r ** 4)
+                and np.all(dphi >= -1e-12 * np.maximum(1.0, np.abs(dphi))))
 
 
 class TestThresholdValues:
@@ -105,15 +123,16 @@ class TestThresholdValues:
         assert sum(math.isnan(mu) for _, mu in pairs) == 8
 
     def test_decrease_only_radius(self):
-        assert f_decrease_only_radius(1.0) == pytest.approx(math.sqrt(3.0))
-        assert f_decrease_only_radius(0.5) > threshold("F_HalfPlaneRatio", 0.5)
-        with pytest.raises(HypothesisError):
-            f_decrease_only_radius(0.0)
-
-    @pytest.mark.parametrize("mu", [math.nan, math.inf])
-    def test_decrease_only_radius_non_finite_mu(self, mu):
-        with pytest.raises(HypothesisError):
-            f_decrease_only_radius(mu)
+        # inside r = sqrt(1+2mu), wider than the half-plane ratio radius, the
+        # F coefficients merely decrease; the radius is sufficient, not sharp
+        for mu in [0.1, 0.5, 1.0, 2.0, 5.0, 10.0]:
+            radius = math.sqrt(1.0 + 2.0 * mu)
+            assert radius > threshold("F_HalfPlaneRatio", mu)
+            for scale, decreasing in [(1.0 - 1e-9, True), (1.01, True), (1.5, False)]:
+                a = CoefficientSeq(Family.F, ParamSet(mu, scale * radius)).values_at(
+                    np.arange(1, 1001))
+                ok = np.all(a[:-1] - a[1:] >= -comparison_slack(a[:-1], a[1:]))
+                assert ok == decreasing, (mu, scale)
 
 
 class TestDigammaTrigamma:
@@ -249,41 +268,43 @@ class TestAuxiliaryFunctions:
     @pytest.mark.parametrize("mu", [2.0, 3.0])
     def test_h_chain_nonnegative(self, mu):
         # n C_n decreasing for r <= sqrt(mu), mu >= 2
-        p = ParamSet(mu, math.sqrt(mu))
-        for n in range(1, 60):
-            assert h_diff(n, p) >= -1e-15
+        rep = check_ozaki(CoefficientSeq(Family.Q, ParamSet(mu, math.sqrt(mu))), 60)
+        assert rep.ok and rep.criterion == Criterion.OZAKI_DECREASING.value
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_h_tilde_chain_nonnegative(self, mu):
-        # C_n decreasing already for r <= sqrt(mu), any mu > 0
-        p = ParamSet(mu, math.sqrt(mu))
-        for n in range(1, 60):
-            assert h_tilde_diff(n, p) >= -1e-15
+        # C_n non-negative, decreasing and convex already for r <= sqrt(mu),
+        # any mu > 0
+        assert check_fejer_halfplane(
+            CoefficientSeq(Family.Q, ParamSet(mu, math.sqrt(mu))), 60).ok
 
     def test_phi_fixtures(self):
-        assert phi_convexity_check(ParamSet(1.0, 0.6)) is True
-        assert phi_convexity_check(ParamSet(1.0, 0.7)) is False
+        assert phi_oracle(1.0, 0.6) and 0.6 <= threshold("F_Starlike", 1.0)
+        assert not phi_oracle(1.0, 0.7) and 0.7 > threshold("F_Starlike", 1.0)
 
     @settings(max_examples=300)
     @given(mu=st.floats(0.01, 100.0), r=st.floats(0.01, 100.0),
-           near=st.booleans(), eps=st.floats(-1e-6, 1e-6))
+           near=st.sampled_from(["", "phi", "dphi"]), eps=st.floats(-1e-6, 1e-6))
     def test_phi_check_matches_dense_sample(self, mu, r, near, eps):
-        # oracle: phi(1) and phi' sampled densely on [1, 1e4], each with the
-        # relative slack; near=True puts r within 1e-6 of where phi'(1) = 0
-        if near:
+        # r <= r* decides the phi certificate; near puts r within 1e-6 of r*
+        # (phi(1) = 0) or of where phi'(1) = 0.  Within 1e-9 of r* the two
+        # may differ by the slack, so there only r <= r* => oracle holds.
+        r_star = threshold("F_Starlike", mu)
+        if near == "phi":
+            r = r_star * (1.0 + eps)
+        elif near == "dphi":
             r = math.sqrt(2.0 * (2.0 * mu * mu + mu) / (5.0 * mu + 3.0)) * (1.0 + eps)
-        x = np.concatenate([np.linspace(1.0, 10.0, 20001), np.geomspace(10.0, 1e4, 2000)])
-        phi1 = (mu + 2.0 * mu * mu) - (3.0 + 5.0 * mu) * r * r + r ** 4
-        dphi = 4.0 * x ** 3 * (2.0 * mu * mu + mu) - 2.0 * (3.0 + 5.0 * mu) * r * r * x
-        expected = bool(phi1 >= -1e-12 * max(1.0, r ** 4)
-                        and np.all(dphi >= -1e-12 * np.maximum(1.0, np.abs(dphi))))
-        assert phi_convexity_check(ParamSet(mu, r)) is expected
+        expected = phi_oracle(mu, r)
+        if abs(r / r_star - 1.0) >= 1e-9:
+            assert (r <= r_star) is expected
+        elif r <= r_star:
+            assert expected
 
     def test_phi_coherent_with_starlike_threshold(self):
         for mu in [0.5, 1.0, 2.0, 5.0]:
             r_star = threshold("F_Starlike", mu)
-            assert phi_convexity_check(ParamSet(mu, r_star - 1e-9))
-            assert phi_of_x(1.0, ParamSet(mu, r_star)) == pytest.approx(
+            assert phi_oracle(mu, r_star - 1e-9)
+            assert phi_at_1(mu, r_star) == pytest.approx(
                 0.0, abs=1e-10 * max(1.0, r_star ** 4))
 
     def test_domain(self):
