@@ -9,11 +9,8 @@ CoherenceError (it would indicate a bug or a tolerance problem).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .criteria import (
     DEFAULT_TERMS,
@@ -152,6 +149,8 @@ def sweep(
         raise ConfigurationError(f"tol must be > 0, got {tol}")
     if r_hi is not None and not 0.0 < r_hi < math.inf:
         raise ConfigurationError(f"r_hi must be finite and > 0, got {r_hi}")
+    if probe not in ("sequence", "disk"):
+        raise ConfigurationError(f"unknown probe: {probe}")
     if probe == "sequence" and n_terms < MIN_CHAIN_TERMS:
         raise ConfigurationError(f"n_terms must be >= {MIN_CHAIN_TERMS}, got {n_terms}")
     records = []
@@ -171,16 +170,3 @@ def sweep(
 
 def record_to_dict(rec: ThresholdRecord) -> dict:
     return {**asdict(rec), "kind": rec.kind.value}
-
-
-def records_to_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, [f.name for f in fields(ThresholdRecord)],
-                            lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(map(record_to_dict, records))
-    return buf.getvalue()
-
-
-def records_to_json(records) -> str:
-    return json.dumps([record_to_dict(r) for r in records], indent=2)

@@ -186,9 +186,10 @@ class FunctionSequence(SequenceBase):
             return np.log(self.values_at(n))
 
     def read(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-        """The fn values as given, not exp of their logs, and the logs."""
-        n = np.arange(1, n_terms + 1)
-        return self.values_at(n), self.log_values_at(n)
+        """The fn values as given, not exp of their logs, and their logs."""
+        vals = self.values_at(np.arange(1, n_terms + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return vals, np.log(vals)
 
 
 @dataclass
@@ -280,32 +281,29 @@ def eval_series(
         ) from None
 
 
-def eval_S(r: float, tol: float = DEFAULT_TOL, n_max: int = N_MAX) -> EvalResult:
-    """Classical Mathieu series S(r) = sum 2n/(n^2+r^2)^2.
-
-    The tail after N terms is bounded by the integral comparison
-    int_N^inf 2x/(x^2+r^2)^2 dx = 1/(N^2+r^2).
-    """
+def eval_S(r: float, tol: float = DEFAULT_TOL) -> EvalResult:
+    """S(r) = sum 2n/(n^2+r^2)^2 to ``tail_bound`` <= tol: the midpoint of
+    1/(r^2+1/(2 zeta(3))) < S(r) < 1/(r^2+1/6) (Alzer, Brenner & Ruehr 1998)
+    if narrow enough, with truncation_index 0; else N = max(ceil r,
+    ceil (2 tol)^(-1/4)) terms plus the midpoint of the tail's bracket
+    [1/D - f(N)/2, 1/((N+1/2)^2+r^2)], D = N^2+r^2, from the trapezoid and
+    midpoint rules for f(x) = 2x/(x^2+r^2)^2, convex on x >= r; its
+    half-width is at most 1/(2 N^4) <= tol."""
     if not 0.0 < r < math.inf:
         raise ParameterDomainError(f"r must be finite and > 0, got {r}")
     if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
-    total = 0.0
-    n_done = 0
-    chunk = 1 << 16
-    r2 = r * r
-    while n_done < n_max:
-        m = min(chunk, n_max - n_done)
-        idx = np.arange(n_done + 1, n_done + m + 1, dtype=float)
-        total += float(np.sum(2.0 * idx / (idx * idx + r2) ** 2))
-        n_done += m
-        bound = 1.0 / (float(n_done) ** 2 + r2)
-        if bound < tol:
-            return EvalResult(total, n_done, bound)
-    raise TruncationError(
-        f"tolerance {tol} not reached within {n_max} terms",
-        partial=EvalResult(total, n_done, bound),
-    )
+    r2, c0, c1 = r * r, 1.0 / 6.0, 0.5 / ZETA3
+    half = (c1 - c0) / (2.0 * (r2 + c0) * (r2 + c1))
+    if half < tol:
+        return EvalResult(1.0 / (r2 + c1) + half, 0, half)
+    n = max(math.ceil(r), math.ceil((2.0 * tol) ** -0.25))
+    if n > N_MAX:
+        raise TruncationError(f"tolerance {tol} needs {n} terms, over {N_MAX}")
+    idx, d = np.arange(1.0, n + 1.0), n * n + r2
+    half = (3.0 * n * n + n - r2) / (8.0 * d * d * (d + n + 0.25))
+    head = float(np.sum(2.0 * idx / (idx * idx + r2) ** 2))
+    return EvalResult(head + (d - n) / (d * d) + half, n, half)
 
 
 # S(r) by its integral form: composite Gauss-Legendre rule on panels of
@@ -387,7 +385,7 @@ def S_integral_rule(r: float, tol: float = 1e-10) -> PanelRule:
     if big_t / width > _MAX_PANELS:
         raise NumericError(
             f"S({r}) needs {big_t / width:.3g} panels, over {_MAX_PANELS}; "
-            "eval_S sums the series instead")
+            "use eval_S, which answers every r")
     panels = math.ceil(big_t / width)
     big_t = panels * width
     radius = big_t + (1.0 + _REACH) * width

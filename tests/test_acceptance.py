@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from mathieu_geom.cli import theorem_matrix
+from mathieu_geom.cli import main, theorem_matrix
 from mathieu_geom.criteria import (
     Criterion,
     Status,
@@ -17,7 +17,7 @@ from mathieu_geom.criteria import (
     fejer_kernel_sigma,
 )
 from mathieu_geom.diskcheck import DiskGrid
-from mathieu_geom.explorer import records_to_csv, sweep
+from mathieu_geom.explorer import sweep
 from mathieu_geom.params import ParamSet
 from mathieu_geom.series import (
     ZETA3,
@@ -151,11 +151,11 @@ def test_08_kernel_identity():
     report("08 kernel identity: 500 random pairs, sigma >= 0", ok)
 
 
-def test_09_sweep_soundness_and_determinism():
+def test_09_sweep_soundness_and_determinism(capsys):
     """Sharpness sweep: no empirical failure radius falls below its
     sufficient radius (beyond bisection tolerance), hypothesis-violating
-    mu rows are marked errored, and two seed-0 runs emit byte-identical
-    CSV."""
+    mu rows are marked errored, and two seed-0 runs of `mathieu-geom
+    sweep` emit byte-identical CSV."""
     kinds = [ThresholdKind.F_CLOSE_TO_CONVEX, ThresholdKind.F_STARLIKE,
              ThresholdKind.F_HALFPLANE_RATIO, ThresholdKind.Q_STARLIKE]
     records = sweep(kinds, [0.5, 1.0, 2.0])
@@ -166,9 +166,10 @@ def test_09_sweep_soundness_and_determinism():
         else:
             ok = ok and rec.status in ("ok", "no_failure_found")
             ok = ok and rec.gap >= -1e-6
-    csv_a = records_to_csv(records)
-    csv_b = records_to_csv(sweep(kinds, [0.5, 1.0, 2.0]))
-    ok = ok and csv_a.encode() == csv_b.encode()
+    argv = ["sweep", "--kinds", ",".join(k.value for k in kinds),
+            "--mu-grid", "0.5,1,2", "--format", "csv"]
+    codes, outs = zip(*[(main(argv), capsys.readouterr().out) for _ in range(2)])
+    ok = ok and codes == (0, 0) and outs[0].encode() == outs[1].encode()
     report("09 sweep: gaps >= -1e-6, mu filtering, byte-identical CSV", ok)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import mathieu_geom
 from mathieu_geom.cli import _FUNCTIONAL_NAMES, main, parse_complex, theorem_matrix
-from mathieu_geom.explorer import records_to_csv, records_to_json, sweep
+from mathieu_geom.explorer import record_to_dict, sweep
 from mathieu_geom.series import eval_S
 from mathieu_geom.thresholds import MU_MIN, ThresholdKind, threshold
 
@@ -88,6 +88,12 @@ class TestEval:
         data = json.loads(out)
         # Alzer bounds at r = 1
         assert 1.0 / (1.0 + 1.0 / 1.2) < data["value"] < 1.0 / (1.0 + 1.0 / 6.0)
+
+    def test_classical_S_small_r(self, capsys):
+        code, out, _ = run(capsys, "eval", "--family", "S", "--r", "0.005",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tail_bound"] <= 1e-12
 
     def test_S_integral_reports_its_bound(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "S-integral", "--r", "2",
@@ -468,13 +474,19 @@ class TestDerivedTables:
         assert ("--criterion {ozaki,fejer-starlike,fejer-halfplane,"
                 "fejer-halfplane-deriv,goodman}") in out
 
-    @pytest.mark.parametrize("fmt,render", [("csv", records_to_csv), ("json", records_to_json)])
-    def test_sweep_prints_the_records(self, capsys, fmt, render):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_prints_the_records(self, capsys, fmt):
         kinds, mu_grid = ["F_Starlike", "Q_Starlike"], [1.0, 2.0]
         code, out, _ = run(capsys, "sweep", "--kinds", ",".join(kinds),
                            "--mu-grid", "2,1", "--format", fmt)
         assert code == 0
-        assert out == render(sweep(kinds, mu_grid)).rstrip("\n") + "\n"
+        rows = [record_to_dict(rec) for rec in sweep(kinds, mu_grid)]
+        if fmt == "json":
+            assert out == json.dumps(rows, indent=2) + "\n"
+        else:
+            assert out.endswith("\n") and not out.endswith("\n\n")
+            assert list(csv.DictReader(io.StringIO(out))) == [
+                {k: str(v) for k, v in row.items()} for row in rows]
 
     def test_thresholds_prints_the_threshold_rows(self, capsys):
         rows = [{"kind": k.value, "mu": mu, "sufficient_r": threshold(k, mu)}

@@ -1,15 +1,15 @@
 """Sharpness explorer: bisection, sweep determinism, coherence."""
 
+import json
 import math
 
 import pytest
 
+from mathieu_geom.cli import main
 from mathieu_geom.explorer import (
     ThresholdRecord,
     bisect_failure_r,
     probe_passes,
-    records_to_csv,
-    records_to_json,
     sweep,
 )
 from mathieu_geom.diskcheck import DiskGrid
@@ -103,20 +103,35 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="bug"):
             sweep([ThresholdKind.F_STARLIKE], [1.0])
 
-    def test_csv_determinism(self):
-        a = records_to_csv(sweep(self.KINDS, self.MU))
-        b = records_to_csv(sweep(self.KINDS, self.MU))
+    @staticmethod
+    def cli_sweep(capsys, kinds, mu_grid, fmt):
+        """The output of `mathieu-geom sweep` for these rows."""
+        argv = ["sweep", "--kinds", ",".join(ThresholdKind(k).value for k in kinds),
+                "--mu-grid", ",".join(map(str, mu_grid)), "--format", fmt]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_csv_determinism(self, capsys):
+        a = self.cli_sweep(capsys, self.KINDS, self.MU, "csv")
+        b = self.cli_sweep(capsys, self.KINDS, self.MU, "csv")
         assert a == b
         header = a.splitlines()[0]
         assert header == "kind,mu,sufficient_r,empirical_r,gap,probe,status"
 
-    def test_json_round_trip(self):
-        import json
-
+    def test_json_round_trip(self, capsys):
         records = sweep([ThresholdKind.F_STARLIKE], [1.0])
-        data = json.loads(records_to_json(records))
+        data = json.loads(self.cli_sweep(capsys, [ThresholdKind.F_STARLIKE], [1.0], "json"))
         assert data[0]["kind"] == "F_Starlike"
         assert data[0]["gap"] == records[0].gap
+
+    def test_unknown_probe_rejected_before_any_row(self, monkeypatch):
+        # a probe name no row can run is a sweep-wide error, not two error rows
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was run")
+
+        monkeypatch.setattr("mathieu_geom.explorer.bisect_failure_r", no_rows)
+        with pytest.raises(ConfigurationError, match="unknown probe: bogus"):
+            sweep([ThresholdKind.F_STARLIKE], [1.0, 2.0], probe="bogus")
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ConfigurationError):

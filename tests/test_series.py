@@ -4,11 +4,13 @@ import decimal
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathieu_geom.criteria import check_fejer_starlike
 from mathieu_geom.params import (
     EvalDomainError,
     NumericError,
@@ -120,6 +122,16 @@ class TestCoefficients:
         assert [v for _, v, _ in rows] == [1.0, 0.5, -0.25, 0.25]
         assert math.isnan(rows[2][2]) and rows[1][2] == math.log(0.5)
 
+    def test_read_calls_fn_once(self):
+        # the logs are taken of the values already read, not of a second fn pass
+        calls = []
+        seq = FunctionSequence(lambda n: calls.append(len(n)) or 1.0 / n)
+        vals, logs = seq.read(10)
+        assert calls == [10]
+        assert logs.tolist() == np.log(vals).tolist()
+        check_fejer_starlike(seq, 10)
+        assert calls == [10, 10]
+
 
 class TestEvalSeries:
     def test_zero_point(self):
@@ -222,6 +234,34 @@ class TestClassicalMathieu:
         s_integral = eval_S_integral(r, tol=1e-10)
         assert abs(s_series - s_integral) <= 1e-8
 
+    @staticmethod
+    def mpmath_S(r):
+        """S(r) = -Im psi'(1+ir) / r at 40 digits."""
+        with mpmath.workdps(40):
+            return -mpmath.im(mpmath.psi(1, 1 + 1j * mpmath.mpf(r))) / r
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-15])
+    def test_within_bound_of_mpmath_oracle(self, tol):
+        # the bracket's half-width (c1-c0)/(2(x+c0)(x+c1)) at x = r^2 is tol at r_switch
+        c0, c1 = 1.0 / 6.0, 0.5 / ZETA3
+        b, k = c0 + c1, c0 * c1 - 0.5 * (c1 - c0) / tol
+        r_switch = math.sqrt(0.5 * (math.sqrt(b * b - 4.0 * k) - b))
+        n_terms = math.ceil((2.0 * tol) ** -0.25)
+        grid = [*np.geomspace(1e-3, 1e9, 25).tolist(), r_switch * (1.0 - 1e-9),
+                r_switch * (1.0 + 1e-9), n_terms - 0.5, n_terms + 0.5]
+        for r in grid:
+            res = eval_S(r, tol)
+            exact = self.mpmath_S(r)
+            assert abs(res.value - exact) <= res.tail_bound + 4.0 * 2.0**-53 * exact, r
+            assert res.tail_bound <= tol
+            assert res.truncation_index == (0 if r > r_switch else n_terms), r
+
+    def test_term_cap_raises_without_partial(self):
+        # N = (2 tol)^(-1/4) passes N_MAX = 10^6 once tol < 5e-25
+        with pytest.raises(TruncationError) as exc_info:
+            eval_S(1.0, tol=1e-26)
+        assert exc_info.value.partial is None
+
     def test_S_tail_bound_is_sound(self):
         res = eval_S(1.0, tol=1e-8)
         better = eval_S(1.0, tol=1e-12)
@@ -268,7 +308,7 @@ class TestSIntegral:
     def test_large_r_within_bound_of_series(self):
         r = 1e4
         rule = S_integral_rule(r, 1e-12)
-        series = eval_S(r, 1e-14, n_max=10**7)
+        series = eval_S(r, 1e-14)
         tracemalloc.start()
         try:
             value = eval_S_integral(r, 1e-12)
