@@ -16,7 +16,6 @@ import sys
 
 from .criteria import CRITERIA, DEFAULT_TERMS, CriterionReport, Status, check_goodman, run_criterion
 from .diskcheck import (
-    DEFAULT_TOLERANCE,
     DiskGrid,
     DiskReport,
     DiskStatus,
@@ -177,7 +176,7 @@ def cmd_verify(args) -> int:
         seq = _seq_from_flags(args)
         grid = _grid_from_flags(args)
         functional = _FUNCTIONAL_NAMES[args.functional]
-        rep = verify_functional(functional, seq, grid=grid, tolerance=args.tolerance)
+        rep = verify_functional(functional, seq, grid=grid)
         if args.dump_grid:
             dump_grid_csv(functional, seq, None, grid, args.dump_grid)
         payload = disk_report_dict(rep)
@@ -293,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--dump-grid", help="CSV path for per-point functional values")
     p.add_argument("--radii", type=int, default=DiskGrid.n_radii,
                    help="interior lattice radii (--dump-grid)")

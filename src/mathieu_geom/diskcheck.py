@@ -9,8 +9,8 @@ stay above a bound on the closed disk |z| <= rho:
 Each is the real part of a function analytic on |z| <= rho (for Starlike
 while f/z has no zero there), so its minimum lies on |z| = rho.  Samples at
 m points of that circle, less the dip between them and the series error,
-bound it from below (Holds); a sample at or below bound - tolerance is
-Violated; m doubles up to 2^20, where a check still open is Inconclusive.
+bound it from below (Holds); a sample at or below bound - 1e-9 is Violated;
+m doubles up to 2^20, where a check still open is Inconclusive.
 Starlike certifies Re(f' conj(f/z)), of the sign of Re(z f'/f), and shows
 f/z zero-free by its winding number on the circle (argument principle).
 """
@@ -25,14 +25,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .params import ConfigurationError, DegeneratePointError, ParamSet, ParameterDomainError
+from .params import ConfigurationError, DegeneratePointError, ParamSet
 from .series import CoefficientSeq, Family, SequenceBase, truncated_coeffs
 
 DEFAULT_TOLERANCE = 1e-9
 _SERIES_TAIL_TOL = 1e-12
-# truncated_coeffs' first block end past 200_000 (16128 + 12 * 16384 terms):
-# series near |z| = 1 that the check answers need the terms past 200_000.
-_COEFF_CAP = 212_736
+_COEFF_CAP = 200_000  # most series terms, rounded up to a block end by truncated_coeffs
 # Rounding of one fold + FFT evaluation, relative to sum |c_n| rho^(n-1)
 _ROUNDING = 1e-13
 _MAX_POINTS = 2**20  # most circle points; a check undecided there is Inconclusive
@@ -59,17 +57,18 @@ class DiskStatus(str, enum.Enum):
 @dataclass(frozen=True)
 class DiskGrid:
     """The disk |z| <= max_radius and the first number of circle points,
-    n_angles.  n_radii shapes only the interior lattice r_i e^{i theta_j}
-    (radii sine-spaced toward the boundary, the n_angles angles uniform on
-    [0, 2pi)) of dump_grid_csv and of the Starlike zero witness."""
+    n_angles, at most _MAX_POINTS.  n_radii shapes only the interior lattice
+    r_i e^{i theta_j} (radii sine-spaced toward the boundary, the n_angles
+    angles uniform on [0, 2pi)) of dump_grid_csv and of the Starlike zero
+    witness."""
 
     n_radii: int = 64
     n_angles: int = 256
     max_radius: float = 0.995
 
     def __post_init__(self):
-        if self.n_radii < 1 or self.n_angles < 4:
-            raise ConfigurationError("grid must have >= 1 radii and >= 4 angles")
+        if self.n_radii < 1 or not 4 <= self.n_angles <= _MAX_POINTS:
+            raise ConfigurationError(f"grid must have >= 1 radii and 4 to {_MAX_POINTS} angles")
         if not (0.0 < self.max_radius < 1.0):
             raise ConfigurationError(f"max_radius must be in (0,1), got {self.max_radius}")
 
@@ -197,14 +196,11 @@ def _lattice(functional: Functional, rows: np.ndarray, grid: DiskGrid):
 
 
 def verify_functional(functional: Functional | str, family: Union[SequenceBase, Family, str],
-                      p: Optional[ParamSet] = None, grid: Optional[DiskGrid] = None,
-                      tolerance: float = DEFAULT_TOLERANCE) -> DiskReport:
+                      p: Optional[ParamSet] = None, grid: Optional[DiskGrid] = None) -> DiskReport:
     """Decide one functional against its half-plane/positivity bound on
     |z| <= grid.max_radius from its boundary circle, sampled first at
     grid.n_angles points (see the module docstring).  A Starlike winding
     number other than 0 is Violated, reported at the least lattice value."""
-    if not 0.0 <= tolerance < math.inf:  # also NaN
-        raise ParameterDomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     functional = Functional(functional)
     grid = grid or DiskGrid()
     rho, bound = grid.max_radius, FUNCTIONAL_BOUND[functional]
@@ -223,14 +219,14 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
         k2, err_all = float(m2[0]), float(err[0])
 
     m = grid.n_angles
-    cap = m * 2 ** max(0, int(math.log2(_MAX_POINTS / m)))
+    cap = m * 2 ** int(math.log2(_MAX_POINTS / m))
     while True:
         min_value, argmin, cert, p_low, winding = _circle_pass(functional, rows, rho, m)
         disc = k2 * (math.pi / m) ** 2 / 2.0
         lower = cert - disc - err_all
         # Starlike: |f/z| > 0 on the circle, and no zero slips between samples
         zero_free = p_low - err[0] > 2.0 * math.pi * m1[0] / m
-        if min_value <= bound - tolerance:
+        if min_value <= bound - DEFAULT_TOLERANCE:
             status = DiskStatus.VIOLATED
         elif zero_free and winding != 0:
             status = DiskStatus.VIOLATED

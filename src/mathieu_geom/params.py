@@ -21,14 +21,7 @@ class EvalDomainError(MathieuGeomError, ValueError):
 
 
 class TruncationError(MathieuGeomError, ArithmeticError):
-    """The requested tolerance was not reached within the term cap.
-
-    Carries the partial result in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """The requested tolerance was not reached within the term cap."""
 
 
 class NumericError(MathieuGeomError, ArithmeticError):

@@ -31,6 +31,7 @@ from .params import (
 
 DEFAULT_TOL = 1e-12
 N_MAX = 10**6
+_UNIT_ROUNDOFF = 2.0**-53
 
 # Apery's constant zeta(3); regenerated by a test from the defining series.
 ZETA3 = 1.2020569031595942
@@ -209,26 +210,24 @@ def truncated_coeffs(
     """Coefficients c_1..c_N of sum c_n z^(n-1) (c_n = a_n, or n a_n when
     index_weighted), cut so the tail at |z| = rho is below tol.
 
-    Terms come in blocks of 256, doubling up to 16384, the last block
-    clipped to n_max.  The cut is at the first block end N whose block
-    is non-increasing and continues the previous block, and where the
-    geometric majorant c_N rho^N / (1 - rho) of the tail is below tol.
-    Returns (coefficients, that majorant).  Raises TruncationError with
-    the same pair as ``partial`` if no block end within n_max qualifies;
-    its majorant is inf unless the last block was non-increasing.
+    Terms come in whole blocks of 256, doubling up to 16384.  The cut is
+    at the first block end N whose block is non-increasing and continues
+    the previous block, and where the geometric majorant c_N rho^N /
+    (1 - rho) of the tail is below tol.  Returns (coefficients, that
+    majorant).  Raises TruncationError if no block end up to the first
+    one at or past n_max qualifies.
     """
     n_done = 0
     block = 256
     chunks = []
     prev_last = math.inf
-    bound = math.inf
     while n_done < n_max:
-        idx = np.arange(n_done + 1, min(n_done + block, n_max) + 1)
+        idx = np.arange(n_done + 1, n_done + block + 1)
         vals = seq.values_at(idx)
         if index_weighted:
             vals = idx * vals
         chunks.append(vals)
-        n_done += len(idx)
+        n_done += block
         monotone = bool(np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last)
         prev_last = float(vals[-1])
         bound = prev_last * rho**n_done / (1.0 - rho) if monotone else math.inf
@@ -236,74 +235,64 @@ def truncated_coeffs(
             return np.concatenate(chunks), bound
         block = min(2 * block, 16384)
     raise TruncationError(
-        f"series tail below {tol} not reached within {n_max} terms at |z|={rho}",
-        partial=(np.concatenate(chunks), bound),
-    )
+        f"series tail below {tol} not reached within {n_done} terms at |z|={rho}")
 
 
-def eval_series(
-    c: SequenceBase,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    n_max: int = N_MAX,
-) -> EvalResult:
+def eval_series(c: SequenceBase, z: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     """Evaluate sum_{n>=1} a_n z^n with a certified truncation tail bound.
 
     The terms are those of ``truncated_coeffs`` at rho = |z|, called with
     tol/rho: the sum stops at the first block end N whose block is
     non-increasing and continues the previous one, and where the
     geometric majorant a_N rho^(N+1) / (1-rho) of the tail, reported as
-    ``tail_bound``, is below tol.  Raises TruncationError, with the
-    partial EvalResult, if no such N lies within n_max terms; that
-    includes every sequence whose tail never turns non-increasing.
+    ``tail_bound``, is below tol.  Raises TruncationError if no such N
+    lies within N_MAX terms, rounded up to a block end; that includes
+    every sequence whose tail never turns non-increasing.
     """
     if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
-    if n_max < 1:
-        raise ParameterDomainError(f"n_max must be >= 1, got {n_max}")
     z = complex(z)
     rho = abs(z)
     if not rho < 1.0:  # also NaN
         raise EvalDomainError(f"|z| must be < 1, got |z| = {rho}")
     if rho == 0.0:
         return EvalResult(0j, 0, 0.0)
-
-    def result(coeffs: np.ndarray, bound: float) -> EvalResult:
-        idx = np.arange(1, len(coeffs) + 1)
-        return EvalResult(complex(np.sum(coeffs * z**idx)), len(coeffs), rho * bound)
-
-    try:
-        return result(*truncated_coeffs(c, rho, tol / rho, n_max))
-    except TruncationError as exc:
-        raise TruncationError(
-            f"tolerance {tol} not reached within {n_max} terms",
-            partial=result(*exc.partial),
-        ) from None
+    coeffs, bound = truncated_coeffs(c, rho, tol / rho, N_MAX)
+    idx = np.arange(1, len(coeffs) + 1)
+    return EvalResult(complex(np.sum(coeffs * z**idx)), len(coeffs), rho * bound)
 
 
 def eval_S(r: float, tol: float = DEFAULT_TOL) -> EvalResult:
-    """S(r) = sum 2n/(n^2+r^2)^2 to ``tail_bound`` <= tol: the midpoint of
-    1/(r^2+1/(2 zeta(3))) < S(r) < 1/(r^2+1/6) (Alzer, Brenner & Ruehr 1998)
-    if narrow enough, with truncation_index 0; else N = max(ceil r,
-    ceil (2 tol)^(-1/4)) terms plus the midpoint of the tail's bracket
-    [1/D - f(N)/2, 1/((N+1/2)^2+r^2)], D = N^2+r^2, from the trapezoid and
-    midpoint rules for f(x) = 2x/(x^2+r^2)^2, convex on x >= r; its
-    half-width is at most 1/(2 N^4) <= tol."""
+    """S(r) = sum 2n/(n^2+r^2)^2 with |value - S(r)| <= ``tail_bound``: the
+    midpoint of 1/(r^2+1/(2 zeta(3))) < S(r) < 1/(r^2+1/6) (Alzer, Brenner &
+    Ruehr 1998), formed in 1/r, if its half-width is below tol, with
+    truncation_index 0; else N = max(ceil r, ceil (2 tol)^(-1/4)) terms plus
+    the midpoint of the tail's bracket [1/D - f(N)/2, 1/((N+1/2)^2+r^2)],
+    D = N^2+r^2, from the trapezoid and midpoint rules for f(x) =
+    2x/(x^2+r^2)^2, convex on x >= r; its half-width is at most 1/(2 N^4) <= tol.
+    ``tail_bound`` adds to the half-width (bit_length(N) + 48) u value for
+    rounding, u = 2^-53 (np.sum's pairwise order passes each term through at
+    most bit_length(N) + 17 additions; forming the terms, the brackets and
+    their sum takes under 31 roundings more), and 2^-1070 for underflow."""
     if not 0.0 < r < math.inf:
         raise ParameterDomainError(f"r must be finite and > 0, got {r}")
     if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
-    r2, c0, c1 = r * r, 1.0 / 6.0, 0.5 / ZETA3
-    half = (c1 - c0) / (2.0 * (r2 + c0) * (r2 + c1))
-    if half < tol:
-        return EvalResult(1.0 / (r2 + c1) + half, 0, half)
-    n = max(math.ceil(r), math.ceil((2.0 * tol) ** -0.25))
-    if n > N_MAX:
-        raise TruncationError(f"tolerance {tol} needs {n} terms, over {N_MAX}")
-    idx, d = np.arange(1.0, n + 1.0), n * n + r2
-    half = (3.0 * n * n + n - r2) / (8.0 * d * d * (d + n + 0.25))
-    head = float(np.sum(2.0 * idx / (idx * idx + r2) ** 2))
-    return EvalResult(head + (d - n) / (d * d) + half, n, half)
+    s, c0, c1 = 1.0 / r, 1.0 / 6.0, 0.5 / ZETA3
+    # at subnormal r, 1/r overflows and half is NaN: the sum answers
+    lower = s / (r + c1 * s)
+    half = 0.5 * (c1 - c0) * lower * (s / (r + c0 * s))
+    n = 0
+    if not half < tol:
+        n = max(math.ceil(r), math.ceil((2.0 * tol) ** -0.25))
+        if n > N_MAX:
+            raise TruncationError(f"tolerance {tol} needs {n} terms, over {N_MAX}")
+        r2 = r * r
+        idx, d = np.arange(1.0, n + 1.0), n * n + r2
+        half = (3.0 * n * n + n - r2) / (8.0 * d * d * (d + n + 0.25))
+        lower = float(np.sum(2.0 * idx / (idx * idx + r2) ** 2)) + (d - n) / (d * d)
+    value = lower + half
+    return EvalResult(value, n, half + _UNIT_ROUNDOFF * (n.bit_length() + 48) * value + 2.0**-1070)
 
 
 # S(r) by its integral form: composite Gauss-Legendre rule on panels of
@@ -325,7 +314,6 @@ _RHO = 2.0 + math.sqrt(5.0)
 _REACH = 0.5 * (math.sqrt(5.0) - 1.0)
 _PANEL_CHUNK = 4096
 _MAX_PANELS = 1 << 22
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """CLI: argument handling, output formats, exit codes."""
 
+import argparse
 import ast
 import csv
 import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import mathieu_geom
-from mathieu_geom.cli import _FUNCTIONAL_NAMES, main, parse_complex, theorem_matrix
+from mathieu_geom.cli import _FUNCTIONAL_NAMES, build_parser, main, parse_complex, theorem_matrix
 from mathieu_geom.explorer import record_to_dict, sweep
 from mathieu_geom.series import eval_S
 from mathieu_geom.thresholds import MU_MIN, ThresholdKind, threshold
@@ -159,18 +161,13 @@ def test_non_finite_mu_or_r_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--functional", "starlike", "--family", "F", "--mu", "1", "--r", "0.6",
-     "--tolerance", "-1"],
-    ["verify", "--functional", "starlike", "--family", "F", "--mu", "1", "--r", "0.6",
-     "--tolerance", "nan"],
     ["sweep", "--kinds", "F_Starlike,F_CloseToConvex", "--mu-grid", "1", "--tol", "nan"],
     ["eval", "--family", "F", "--mu", "1", "--r", "1", "--z", "0.5", "--tol", "nan"],
     ["eval", "--family", "S", "--r", "2", "--tol", "nan"],
-], ids=["verify-negative", "verify-nan", "sweep-nan", "eval-F-nan", "eval-S-nan"])
+], ids=["sweep-nan", "eval-F-nan", "eval-S-nan"])
 def test_bad_tolerance_exits_2(capsys, argv):
     # a NaN tolerance once passed every comparison it met: sweep returned
-    # empirical_r = sufficient_r, eval summed 10^6 terms; a negative one
-    # turned a margin of 0.86 into Violated
+    # empirical_r = sufficient_r, eval summed 10^6 terms
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and "must be" in err
@@ -254,6 +251,21 @@ class TestVerify:
                            "--samples", "1000", "--format", "json")
         assert code == 3
         assert json.loads(out)["status"] == "Inconclusive"
+
+    def test_angles_above_the_point_cap_exit_2(self, capsys):
+        # rejected before any evaluation: the first pass runs at m = --angles
+        code, out, err = run(capsys, "verify", "--functional", "starlike", "--family", "F",
+                             "--mu", "1", "--r", "0.6", "--angles", "2097152")
+        assert code == 2
+        assert out == "" and "angles" in err
+
+    def test_tolerance_flag_is_gone(self, capsys):
+        # Violated is min_value <= bound - DEFAULT_TOLERANCE for every caller
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify", "--functional", "starlike", "--family", "F", "--mu", "1",
+                  "--r", "0.6", "--tolerance", "1e-9"])
+        assert exc_info.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_exactly_one_mode_required(self, capsys):
         code, *_ = run(capsys, "verify", "--family", "F", "--mu", "1", "--r", "1")
@@ -421,6 +433,15 @@ class TestReadme:
             code = exc.code
         capsys.readouterr()
         assert code != 2
+
+    def test_every_flag_named_is_accepted(self):
+        # a flag the parser dropped must not linger in the prose
+        text = "\n".join(line for line in README.read_text().splitlines()
+                         if "pip install" not in line)
+        named = set(re.findall(r"--[a-z][a-z-]*", text))
+        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+        assert named and named <= accepted, sorted(named - accepted)
 
 
 class TestColdImport:

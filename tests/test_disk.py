@@ -64,6 +64,12 @@ class TestDiskGrid:
         with pytest.raises(ConfigurationError):
             DiskGrid(4, 16, 1.0)
 
+    def test_angles_capped_at_max_points(self):
+        # a first pass runs at m = n_angles, so more would bypass the cap
+        assert DiskGrid(64, _MAX_POINTS, 0.995).n_angles == _MAX_POINTS
+        with pytest.raises(ConfigurationError):
+            DiskGrid(64, 2 * _MAX_POINTS, 0.995)
+
 
 class TestIdentityFunction:
     def test_starlike_exactly_one(self):
@@ -258,16 +264,16 @@ def _geometric(log_q: float) -> FunctionSequence:
 class TestCoefficientCap:
     # At |z| = 0.9999 the tail bound of a_n = q^(n-1) at a block end N is
     # q^(N-1) 0.9999^N / 1e-4.  With q = exp(-8e-5) it is above 1e-12 at
-    # the block end 196352 and first below it at 212736, the cap.
+    # the block end 196352 and first below it at 212736, the first block
+    # end past the cap of 200_000 terms.
     GRID = DiskGrid(2, 8, 0.9999)
 
-    def test_cap_is_a_block_end(self):
-        assert _COEFF_CAP == 256 * (2**6 - 1) + 12 * 16384
+    def test_last_block_is_read_whole(self):
+        coeffs, tail = truncated_coeffs(_geometric(-8e-5), 0.9999, 1e-12, 200_000)
+        assert len(coeffs) == 212_736 and tail < 1e-12
 
     def test_tail_clearing_in_the_last_block_answers(self):
         seq = _geometric(-8e-5)
-        coeffs, _ = truncated_coeffs(seq, 0.9999, 1e-12, _COEFF_CAP)
-        assert len(coeffs) == _COEFF_CAP
         rep = verify_functional(Functional.RATIO_HALFPLANE, seq, grid=self.GRID)
         # f(z)/z = 1/(1 - q z), whose real part stays above 1/2, here by
         # 4.5e-5; the dip bound at 2^20 points is still about 1.5
