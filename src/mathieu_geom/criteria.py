@@ -28,7 +28,7 @@ from .params import (
     ParameterDomainError,
     comparison_slack,
 )
-from .series import CoefficientSeq, Family, SequenceBase
+from .series import CoefficientSeq, Family, SequenceBase, prefix_arrays
 
 DEFAULT_TERMS = 200
 MIN_CHAIN_TERMS = 3  # least prefix of a chain criterion: a second difference needs a_1..a_3
@@ -83,10 +83,8 @@ def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool):
     vals, logs = c.read(n_terms)
     if abs(vals[0] - 1.0) > 1e-12:
         raise NormalizationError(f"sequence is not normalized: a_1 = {vals[0]}")
-    if not weighted:
-        return vals, logs
-    n = np.arange(1, n_terms + 1)
-    return n * vals, logs + np.log(n)
+    n, log_n = prefix_arrays(n_terms)
+    return (n * vals, logs + log_n) if weighted else (vals, logs)
 
 
 def _chain_scan(lhs, rhs, lhs_log: Optional[np.ndarray] = None,
@@ -100,29 +98,40 @@ def _chain_scan(lhs, rhs, lhs_log: Optional[np.ndarray] = None,
     first + k.  Where both sides are below the underflow threshold the
     order of the log magnitudes decides (their linear margin is an
     uninformative 0.0), and a violation there has margin -exp(rhs_log).
+    Only a negative margin can be a witness, so only those get a slack.
     """
     margin = lhs - rhs
-    violated = margin < -comparison_slack(lhs, rhs)
-    if lhs_log is not None:
-        under = (lhs < _UNDERFLOW) & (rhs < _UNDERFLOW)
-        log_violated = rhs_log > lhs_log + 1e-9
-        violated = np.where(under, log_violated, violated)
-        margin = np.where(under, 0.0, margin)
-        hit = np.flatnonzero(under & log_violated)
-        margin[hit] = [-math.exp(x) for x in rhs_log[hit]]
+    under = None if lhs_log is None else (lhs < _UNDERFLOW) & (rhs < _UNDERFLOW)
+    if under is not None and under.any():
+        margin[under] = 0.0
+        hit = (under & (rhs_log > lhs_log + 1e-9)).nonzero()[0]
+        if hit.size:
+            # -exp decreases: a hit over 1 below the top rhs_log is not the least
+            # margin, and -0.0 stands in; under a top of -740 exp may round such
+            # hits alike, so all at or above -746 are exact (below, exp is 0)
+            logs = rhs_log[hit]
+            top = logs.max()
+            near = logs >= (top - 1.0 if top > -740.0 else -746.0)
+            margin[hit] = -0.0
+            margin[hit[near]] = [-math.exp(x) for x in logs[near].tolist()]
 
     # min_margin as a running min() would give it: NaNs never win, and
     # of equal minima (0.0 and -0.0) the first one is kept, as by argmin
-    min_margin = float(margin[np.argmin(margin)])
+    min_margin = float(margin[margin.argmin()])
     if math.isnan(min_margin):
         comparable = margin[~np.isnan(margin)]
-        min_margin = float(comparable[np.argmin(comparable)]) if comparable.size else math.inf
+        min_margin = float(comparable[comparable.argmin()]) if comparable.size else math.inf
     if not min_margin < 0.0:
         return min_margin, None
-    worst = np.flatnonzero(violated & (margin < 0.0))
+    neg = (margin < 0.0).nonzero()[0]
+    lhs_neg, rhs_neg = (side[neg] if np.ndim(side) else side for side in (lhs, rhs))
+    violated = margin[neg] < -comparison_slack(lhs_neg, rhs_neg)
+    if under is not None:
+        violated |= under[neg]  # a negative underflowed margin broke the log order
+    worst = neg[violated]
     if not worst.size:
         return min_margin, None
-    k = int(worst[np.argmin(margin[worst])])
+    k = int(worst[margin[worst].argmin()])
     lhs_k, rhs_k = (float(side[k] if np.ndim(side) else side) for side in (lhs, rhs))
     return min_margin, Witness(first + k, lhs_k, rhs_k)
 

@@ -40,7 +40,7 @@ _PROBES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)  # one per sweep row, kept by whoever collects them
 class ThresholdRecord:
     kind: ThresholdKind
     mu: float

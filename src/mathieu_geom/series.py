@@ -44,8 +44,8 @@ class Family(str, enum.Enum):
     DOUBLE_FACTORIAL = "DoubleFactorial"
 
 
-def _log_coeff_F(n: np.ndarray, mu: float, r: float) -> np.ndarray:
-    return np.log(n) + (mu + 1.0) * (math.log1p(r * r) - np.log(n * n + r * r))
+def _log_coeff_F(log_n: np.ndarray, n_sq: np.ndarray, mu: float, r: float) -> np.ndarray:
+    return log_n + (mu + 1.0) * (math.log1p(r * r) - np.log(n_sq + r * r))
 
 
 _LOG_FACTORIAL_TABLE = 4096
@@ -73,12 +73,32 @@ def log_factorial(x: float | np.ndarray) -> float | np.ndarray:
                        shifted.size).reshape(shifted.shape)
 
 
-def log_coeff_Q(n: np.ndarray, mu: float, r: float) -> np.ndarray:
-    """log C_n of the Q family; at real n > 0 it interpolates them."""
+def Q_parts(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log n!, (n!)^-2): what `log_coeff_Q` needs of n."""
     lf = log_factorial(n)
-    # log((n!)^2 + r^2) without forming (n!)^2
-    log_denom = 2.0 * lf + np.log1p(r * r * np.exp(-2.0 * lf))
-    return lf + (mu + 1.0) * (math.log1p(r * r) - log_denom)
+    return lf, np.exp(-2.0 * lf)
+
+
+def log_coeff_Q(lf: np.ndarray, inv_sq: np.ndarray, mu: float, r: float) -> np.ndarray:
+    """log C_n of the Q family from ``Q_parts(n)``; at real n > 0 it
+    interpolates them.  log((n!)^2 + r^2) is 2 log n! + log1p(r^2 (n!)^-2)."""
+    return lf + (mu + 1.0) * (math.log1p(r * r) - (2.0 * lf + np.log1p(r * r * inv_sq)))
+
+
+# family -> ((mu, r)-free parts of log a_n at n, log a_n from those parts)
+_PARTS = {Family.F: (lambda n: (np.log(n), np.square(n, dtype=float)), _log_coeff_F),
+          Family.Q: (Q_parts, log_coeff_Q)}
+
+
+@functools.lru_cache(maxsize=8)  # a sweep's 500 terms, the CLI's 200 and a few more
+def prefix_arrays(n_terms: int, family: Optional[Family] = None) -> tuple[np.ndarray, ...]:
+    """(1..N, log n), or with a family the (mu, r)-free parts of its log a_n
+    at n = 1..N: read-only and built once per N, for every prefix read."""
+    n = prefix_arrays(n_terms)[0] if family else np.arange(1, n_terms + 1)
+    arrays = _PARTS[family][0](n) if family else (n, np.log(n))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _log_coeff_shat(n: np.ndarray) -> np.ndarray:
@@ -117,7 +137,7 @@ class SequenceBase:
 
     def read(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
         """(values, logs) of a_1..a_N from one ``log_values_at`` pass."""
-        logs = self.log_values_at(np.arange(1, n_terms + 1))
+        logs = self.log_values_at(prefix_arrays(n_terms)[0])
         return np.exp(logs), logs
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
@@ -155,12 +175,14 @@ class CoefficientSeq(SequenceBase):
 
     def log_values_at(self, n: np.ndarray) -> np.ndarray:
         n = np.asarray(n, dtype=np.int64)
-        if n.size and n.min() < 1:
+        # read()'s cached 1..N needs no check, and its parts are cached too
+        prefix = not n.flags.writeable and n is prefix_arrays(n.size)[0]
+        if not prefix and n.size and n.min() < 1:
             raise ParameterDomainError("coefficient index must be >= 1")
-        if self.family is Family.F:
-            return _log_coeff_F(n.astype(float), self.params.mu, self.params.r)
-        if self.family is Family.Q:
-            return log_coeff_Q(n, self.params.mu, self.params.r)
+        if self.family in _PARTS:
+            parts, log_coeff = _PARTS[self.family]
+            known = prefix_arrays(n.size, self.family) if prefix else parts(n)
+            return log_coeff(*known, self.params.mu, self.params.r)
         if self.family is Family.SHAT:
             return _log_coeff_shat(n.astype(float))
         return _log_coeff_double_factorial(n)
@@ -188,7 +210,7 @@ class FunctionSequence(SequenceBase):
 
     def read(self, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
         """The fn values as given, not exp of their logs, and their logs."""
-        vals = self.values_at(np.arange(1, n_terms + 1))
+        vals = self.values_at(prefix_arrays(n_terms)[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             return vals, np.log(vals)
 
@@ -262,29 +284,38 @@ def eval_series(c: SequenceBase, z: complex, tol: float = DEFAULT_TOL) -> EvalRe
     return EvalResult(complex(np.sum(coeffs * z**idx)), len(coeffs), rho * bound)
 
 
+def _S_rounding(n: int, value: float) -> float:
+    return _UNIT_ROUNDOFF * (n.bit_length() + 48) * value + 2.0**-1070
+
+
 def eval_S(r: float, tol: float = DEFAULT_TOL) -> EvalResult:
-    """S(r) = sum 2n/(n^2+r^2)^2 with |value - S(r)| <= ``tail_bound``: the
+    """S(r) = sum 2n/(n^2+r^2)^2 with |value - S(r)| <= ``tail_bound`` <= tol: the
     midpoint of 1/(r^2+1/(2 zeta(3))) < S(r) < 1/(r^2+1/6) (Alzer, Brenner &
-    Ruehr 1998), formed in 1/r, if its half-width is below tol, with
-    truncation_index 0; else N = max(ceil r, ceil (2 tol)^(-1/4)) terms plus
-    the midpoint of the tail's bracket [1/D - f(N)/2, 1/((N+1/2)^2+r^2)],
-    D = N^2+r^2, from the trapezoid and midpoint rules for f(x) =
-    2x/(x^2+r^2)^2, convex on x >= r; its half-width is at most 1/(2 N^4) <= tol.
-    ``tail_bound`` adds to the half-width (bit_length(N) + 48) u value for
-    rounding, u = 2^-53 (np.sum's pairwise order passes each term through at
-    most bit_length(N) + 17 additions; forming the terms, the brackets and
-    their sum takes under 31 roundings more), and 2^-1070 for underflow."""
+    Ruehr 1998), formed in 1/r, if that fits in tol, with truncation_index 0;
+    else N = max(ceil r, ceil (2 tol)^(-1/4), ceil (3/(8 (tol - R)))^(1/4)) terms
+    plus the midpoint of the tail's bracket [1/D - f(N)/2, 1/((N+1/2)^2+r^2)],
+    D = N^2+r^2, from the trapezoid and midpoint rules for f(x) = 2x/(x^2+r^2)^2,
+    convex on x >= r; its half-width is at most 3/(8 N^4).  ``tail_bound`` adds
+    (bit_length(N) + 48) u value for rounding, u = 2^-53 (np.sum's pairwise order
+    passes each term through at most bit_length(N) + 17 additions; forming the
+    terms, the brackets and their sum takes under 31 roundings more), and
+    2^-1070 for underflow: R is that at N_MAX and value = S + tol, where S <
+    min(2 zeta(3), 1/(r^2+1/6)).  NumericError if R >= tol."""
     if not 0.0 < r < math.inf:
         raise ParameterDomainError(f"r must be finite and > 0, got {r}")
     if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")
     s, c0, c1 = 1.0 / r, 1.0 / 6.0, 0.5 / ZETA3
     # at subnormal r, 1/r overflows and half is NaN: the sum answers
-    lower = s / (r + c1 * s)
-    half = 0.5 * (c1 - c0) * lower * (s / (r + c0 * s))
+    lower, upper = s / (r + c1 * s), s / (r + c0 * s)
+    half = 0.5 * (c1 - c0) * lower * upper
     n = 0
-    if not half < tol:
-        n = max(math.ceil(r), math.ceil((2.0 * tol) ** -0.25))
+    if not half + _S_rounding(0, lower + half) <= tol:
+        rounding = _S_rounding(N_MAX, min(2.0 * ZETA3, upper) + tol)  # min drops a NaN upper
+        if not rounding < tol:
+            raise NumericError(f"rounding alone may reach {rounding:.3g} in S({r}), over tol {tol}")
+        n = max(math.ceil(r), math.ceil((2.0 * tol) ** -0.25),
+                math.ceil((0.375 / (tol - rounding)) ** 0.25))
         if n > N_MAX:
             raise TruncationError(f"tolerance {tol} needs {n} terms, over {N_MAX}")
         r2 = r * r
@@ -292,7 +323,7 @@ def eval_S(r: float, tol: float = DEFAULT_TOL) -> EvalResult:
         half = (3.0 * n * n + n - r2) / (8.0 * d * d * (d + n + 0.25))
         lower = float(np.sum(2.0 * idx / (idx * idx + r2) ** 2)) + (d - n) / (d * d)
     value = lower + half
-    return EvalResult(value, n, half + _UNIT_ROUNDOFF * (n.bit_length() + 48) * value + 2.0**-1070)
+    return EvalResult(value, n, half + _S_rounding(n, value))
 
 
 # S(r) by its integral form: composite Gauss-Legendre rule on panels of

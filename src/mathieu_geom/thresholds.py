@@ -34,7 +34,7 @@ from .params import (
     ParamSet,
     ParameterDomainError,
 )
-from .series import log_coeff_Q, log_factorial
+from .series import Q_parts, log_coeff_Q, log_factorial
 
 
 class ThresholdKind(str, enum.Enum):
@@ -192,7 +192,7 @@ def A_tilde_of_x(x, p: ParamSet):
 def g_of_x(x, p: ParamSet):
     """g(x) = x Gamma(x+1) (1+r^2)^(mu+1) / (Gamma(x+1)^2+r^2)^(mu+1);
     interpolates the index-weighted factorial-family coefficients n C_n."""
-    return _signed_exp(log_coeff_Q(x, p.mu, p.r), x)
+    return _signed_exp(log_coeff_Q(*Q_parts(x), p.mu, p.r), x)
 
 
 @_elementwise

@@ -123,6 +123,14 @@ class TestEval:
         assert out == ""
         assert "certifies" in err
 
+    @pytest.mark.parametrize("family", ["S", "S-integral"])
+    def test_both_S_routes_refuse_an_uncertifiable_tol(self, capsys, family):
+        # S(0.02) = 2.4 carries rounding near 1.5e-14 on either route
+        code, out, err = run(capsys, "eval", "--family", family, "--r", "0.02",
+                             "--tol", "1e-15")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_S_requires_r(self, capsys):
         code, *_ = run(capsys, "eval", "--family", "S")
         assert code == 2

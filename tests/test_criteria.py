@@ -28,7 +28,12 @@ from mathieu_geom.params import (
     ParamSet,
     comparison_slack,
 )
-from mathieu_geom.series import CoefficientSeq, Family, FunctionSequence
+from mathieu_geom.series import (
+    CoefficientSeq,
+    Family,
+    FunctionSequence,
+    prefix_arrays,
+)
 
 INV_N = FunctionSequence(lambda n: 1.0 / n)
 
@@ -336,6 +341,33 @@ class TestChainScan:
         margin, witness = _chain_scan(v[:-1], v[1:])
         assert margin == -1.0 and witness == Witness(1, 1.0, 2.0)
 
+    # every pair underflowed, logs across the subnormal edge of exp, mostly
+    # below -740: exp gives the least subnormal from -745.13 to -744.1 and 0
+    # below, so many hits tie; an occasional log up to -700 breaks the ties
+    @settings(max_examples=300)
+    @given(logs=st.lists(st.one_of(st.sampled_from([-750.0, -746.0, -745.2, -745.12, -745.0,
+                                                    -744.6, -744.1, -744.0, -740.0, -739.5]),
+                                   st.floats(-750.0, -738.0)), min_size=2, max_size=40),
+           top=st.sampled_from([None, -700.0]), data=st.data())
+    def test_underflowed_hits_match_loops(self, logs, top, data):
+        logs = np.array(logs if top is None else [*logs, top])
+        v = np.array(data.draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 1e-281]),
+                                        min_size=len(logs), max_size=len(logs))))
+        assert repr(_chain_scan(v[:-1], v[1:], logs[:-1], logs[1:])) == \
+            repr(_chain_nonincreasing(v, logs))
+        assert repr(_chain_scan(v[1:], v[:-1], logs[1:], logs[:-1])) == \
+            repr(_chain_nondecreasing(v, logs))
+
+    def test_tied_subnormal_hits_keep_the_first(self):
+        # the non-decreasing chain breaks at n = 1, 3 and 5 with margins
+        # -exp(-745.12), -exp(-744.1) and -exp(-760): the first two are both
+        # the least subnormal although 1.02 apart, so n = 1 is the witness
+        logs = np.array([-745.12, -770.0, -744.1, -780.0, -760.0, -790.0])
+        v = np.zeros(len(logs))
+        got = _chain_scan(v[1:], v[:-1], logs[1:], logs[:-1])
+        assert repr(got) == repr(_chain_nondecreasing(v, logs))
+        assert got == (-5e-324, Witness(1, 0.0, 0.0))
+
 
 def _scan_loop(pairs, first=1):
     """(min_margin, witness) of lhs >= rhs over (lhs, rhs) pairs, one n at a
@@ -429,6 +461,34 @@ class TestOneScanRule:
         for rep, (status, witness, min_margin, detail) in cases:
             assert (rep.status, rep.witness, rep.detail) == (status, witness, detail)
             assert rep.min_margin == pytest.approx(min_margin, abs=1e-14)
+
+
+@pytest.mark.parametrize("mu,r", [(0.5, 1.0), (0.5, 3.0), (2.0, 1.0), (2.0, 3.0)])
+def test_underflowing_Q_prefix_matches_per_n_loops(mu, r):
+    # C_n is below 1e-280 from n = 92 (mu = 0.5) or 46 (mu = 2) on, so the
+    # chains there are decided by the log order, and Ozaki's increasing branch
+    # meets one underflowed violation per element
+    seq = seq_Q(mu, r)
+    a, logs = seq.read(500)
+    assert np.count_nonzero(a < criteria._UNDERFLOW) > 300
+    cases = [
+        (check_ozaki(seq, 500), _ozaki_loop(a, logs)),
+        (check_fejer_starlike(seq, 500), _starlike_loop(a, logs)),
+        (check_fejer_halfplane(seq, 500), _halfplane_loop(a, logs)),
+        (check_fejer_halfplane(seq, 500, index_weighted=True),
+         _halfplane_loop(a, logs, weighted=True)),
+    ]
+    for rep, (status, witness, min_margin, detail) in cases:
+        assert (rep.status, rep.witness, rep.detail) == (status, witness, detail)
+        assert repr(rep.min_margin) == repr(min_margin)
+
+
+def test_cached_prefix_arrays_are_read_only():
+    for n_terms in (3, 500):
+        for array in (*prefix_arrays(n_terms), *prefix_arrays(n_terms, Family.F),
+                      *prefix_arrays(n_terms, Family.Q)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_slack_applied_only_in_chain_scan():

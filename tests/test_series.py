@@ -239,21 +239,46 @@ class TestClassicalMathieu:
         c0, c1 = 1.0 / 6.0, 0.5 / ZETA3
         b, k = c0 + c1, c0 * c1 - 0.5 * (c1 - c0) / tol
         r_switch = math.sqrt(0.5 * (math.sqrt(b * b - 4.0 * k) - b))
+        # the bracket's rounding term, 48 u value < 48 u / r^2, must fit in tol
+        # too: that moves the switch up by under 2e-7 relative at these tols
         n_terms = math.ceil((2.0 * tol) ** -0.25)
-        grid = [*np.geomspace(1e-3, 1e9, 25).tolist(), r_switch * (1.0 - 1e-9),
-                r_switch * (1.0 + 1e-9), n_terms - 0.5, n_terms + 0.5, 1.5e154, 1e160]
+        grid = [*np.geomspace(1e-3, 1e9, 25).tolist(), r_switch * (1.0 - 1e-6),
+                r_switch * (1.0 + 1e-6), n_terms - 0.5, n_terms + 0.5, 1.5e154, 1e160]
         for r in grid:
-            res = eval_S(r, tol)
+            try:
+                res = eval_S(r, tol)
+            except NumericError:
+                # rounding alone, about 68 u S, is then above tol
+                assert tol == 1e-15 and r < 3.0, r
+                continue
             exact = self.mpmath_S(r)
-            assert abs(res.value - exact) <= res.tail_bound, r
-            # the rounding term, (bit_length(N) + 48) u value, comes on top of tol
-            assert res.tail_bound <= tol + 2.0**-45 * exact, r
-            assert res.truncation_index == (0 if r > r_switch else n_terms), r
+            assert abs(res.value - exact) <= res.tail_bound <= tol, r
+            if r > r_switch:
+                assert res.truncation_index == 0, r
+            elif tol >= 1e-12:  # rounding takes under a quarter of tol: N as stated
+                assert res.truncation_index == n_terms, r
+            else:
+                assert res.truncation_index >= n_terms, r
+
+    def test_tail_bound_within_default_tol(self):
+        # N = max(ceil r, 841) at tol 1e-12 leaves room for the rounding term
+        for r in np.geomspace(1e-3, 1e9, 400).tolist():
+            res = eval_S(r, 1e-12)
+            assert res.tail_bound <= 1e-12, r
+            assert res.truncation_index in (0, max(math.ceil(r), 841)), r
+
+    @pytest.mark.parametrize("r,tol", [(0.02, 1e-15), (1.0, 1e-15), (1e-3, 1e-14)])
+    def test_tol_below_rounding_floor_raises(self, r, tol):
+        # about 68 u S(r), S(0.02) = 2.4, S(1) = 0.6: rounding alone exceeds tol
+        with pytest.raises(NumericError, match="rounding"):
+            eval_S(r, tol)
 
     def test_term_cap_raises_without_partial(self):
-        # N = (2 tol)^(-1/4) passes N_MAX = 10^6 once tol < 5e-25
+        # N = (2 tol)^(-1/4) passes N_MAX = 10^6 once tol < 5e-25; at r = 10^6
+        # the rounding term, about 68 u S = 7.5e-27, still fits in tol, and the
+        # bracket's half-width 1.25e-25 does not
         with pytest.raises(TruncationError):
-            eval_S(1.0, tol=1e-26)
+            eval_S(1e6, tol=1e-25)
 
     def test_S_tail_bound_is_sound(self):
         res = eval_S(1.0, tol=1e-8)
