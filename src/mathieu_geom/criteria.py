@@ -49,7 +49,7 @@ class Status(str, enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass
+@dataclass(slots=True)
 class Witness:
     n: int
     lhs: float
@@ -60,7 +60,7 @@ class Witness:
         return self.lhs - self.rhs
 
 
-@dataclass
+@dataclass(slots=True)  # one per check, kept by whoever collects them
 class CriterionReport:
     criterion: str
     status: Status

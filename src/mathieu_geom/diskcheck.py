@@ -114,15 +114,23 @@ def _fold_eval(coeffs: np.ndarray, radii, m: int, of: int = 1):
     shape (S, N)) at z = rad e^(2 pi i (k + j/of) / m), k < m, for each
     radius: shape (S, len(radii), m); the slices cover of*m points.  With
     C[q, k] = c_(qm+k+1) (zero-padded) and w = rad e^(2 pi i j/(of m)) the
-    terms folded modulo m are (w^(mq) @ C) w^k: one real matmul, one FFT."""
-    c = np.pad(coeffs, ((0, 0), (0, (-coeffs.shape[1]) % m))).reshape(len(coeffs), -1, m)
+    terms folded modulo m are (w^(mq) @ C) w^k: two real matmuls (the real
+    and imaginary parts of w^(mq)) and one FFT.  Both products read strided
+    views of the complex rows, so numpy runs its own loop, not OpenBLAS,
+    which stalled in fresh processes and rounds differently."""
+    s, n = coeffs.shape
+    c = np.zeros((s, -(-n // m), m))  # zero-padded to whole rows of m
+    c.reshape(s, -1)[:, :n] = coeffs
     q, k = np.arange(c.shape[1]), np.arange(m)
     rad = np.asarray(radii, dtype=float)[:, None]
-    rad_q, cols, step = rad ** (m * q), rad ** k, _turn(k, of * m)
+    rad_q, cols = rad ** (m * q), rad ** k
+    if of > 1:
+        step = _turn(k, of * m)
     for j in range(of):
+        if j:
+            cols = cols * step
         rows = rad_q * _turn(j * q, of)
         yield np.fft.ifft((rows.real @ c + 1j * (rows.imag @ c)) * cols, axis=-1) * m
-        cols = cols * step
 
 
 def _series(functional: Functional, seq: SequenceBase, rho: float):
@@ -137,9 +145,23 @@ def _series(functional: Functional, seq: SequenceBase, rho: float):
     if functional is Functional.CLOSE_TO_CONVEX:
         (d, tail), = cuts
         cuts = [(np.diff(d, prepend=0.0, append=0.0), (1.0 + rho) * tail)]
-    n = max(len(c) for c, _ in cuts)
-    rows = np.array([np.pad(c, (0, n - len(c))) for c, _ in cuts])
+    rows = np.zeros((len(cuts), max(len(c) for c, _ in cuts)))
+    for row, (c, _) in zip(rows, cuts):
+        row[:len(c)] = c
     return rows, np.array([tail for _, tail in cuts]), budget
+
+
+def _moments(rows: np.ndarray, rho: float):
+    """M_j = sum_n |c_n| rho^(n-1) (n-1)^j of each row, for j = 0, 1, 2,
+    one product at a time, all freed before the circle pass."""
+    n = np.arange(rows.shape[1], dtype=float)  # n - 1
+    weights = np.abs(rows)
+    weights *= rho**n
+    # elementwise sums: as a BLAS product (weights @ n) this stalled for
+    # ~0.3 s in fresh processes under multi-threaded OpenBLAS
+    m0, m1 = weights.sum(axis=1), (weights * n).sum(axis=1)
+    n *= n  # exact, as n**2
+    return m0, m1, (weights * n).sum(axis=1)
 
 
 def _values(functional: Functional, series: np.ndarray, z_abs, point):
@@ -206,11 +228,7 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     rho, bound = grid.max_radius, FUNCTIONAL_BOUND[functional]
     starlike = functional is Functional.STARLIKE
     rows, tails, (terms, tail_bound) = _series(functional, as_sequence(family, p), rho)
-    n = np.arange(rows.shape[1], dtype=float)  # n - 1
-    weights = np.abs(rows) * rho**n
-    # M_0, M_1, M_2 by elementwise sums: as a BLAS product (weights @ n) this
-    # stalled for ~0.3 s in fresh processes under multi-threaded OpenBLAS
-    m0, m1, m2 = ((weights * n**j).sum(axis=1) for j in range(3))
+    m0, m1, m2 = _moments(rows, rho)
     err = tails + _ROUNDING * m0  # each row's sampled sum against the series
     if starlike:  # Re(D conj(P)), P = f/z and D = f' the two rows
         k2 = float(m2[1] * m0[0] + 2.0 * m1[1] * m1[0] + m0[1] * m2[0])

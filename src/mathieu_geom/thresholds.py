@@ -379,11 +379,11 @@ _SOBOL_V = _direction_numbers()
 
 
 def _sobol(d: int, seed: int, n: int) -> np.ndarray:
-    """The first n points of the scrambled d-dimensional Sobol sequence
-    as 30-bit integers, an (n, d) uint32 array (the points are these
-    times 2^-30).  The scramble is drawn from `np.random.default_rng(seed)`
-    in scipy's order and dtype: the shift bits (bit k in column k), then
-    the lower-triangular matrices."""
+    """The first n points of the scrambled d-dimensional Sobol sequence,
+    times 2^30, as an (n, d) uint32 array of contiguous columns.  The
+    scramble is drawn from `np.random.default_rng(seed)` in scipy's order
+    and dtype: the shift bits (bit k in column k), then the lower-triangular
+    matrices."""
     if n > 2 ** _SOBOL_BITS:
         raise ConfigurationError(
             f"the Sobol generator gives at most 2**{_SOBOL_BITS} points, {n} were asked for")
@@ -401,21 +401,22 @@ def _sobol(d: int, seed: int, n: int) -> np.ndarray:
     v = (((ltm @ v_bits) & 1) << msb_first).sum(axis=1, dtype=np.uint32)
     # Gray code: point k is point k-1 xor the direction number of bit
     # ctz(k), and ctz(k) = b exactly at k = 2^b, 3 2^b, 5 2^b, ...
-    pts = np.empty((n, d), dtype=np.uint32)
-    pts[:1] = shift
+    pts = np.empty((d, n), dtype=np.uint32)
+    pts[:, :1] = shift[:, None]
     for b in range(_SOBOL_BITS):
-        pts[1 << b::2 << b] = v[:, b]
-    return np.bitwise_xor.accumulate(pts, axis=0, out=pts)
+        pts[:, 1 << b::2 << b] = v[:, b, None]
+    return np.bitwise_xor.accumulate(pts, axis=1, out=pts).T
 
 
 def _unit_samples(case: InequalityCase, n_interior: int, seed: int) -> np.ndarray:
     """Stratified samples in the unit cube: corners, boundary faces with
-    Sobol fill, and Sobol interior."""
+    Sobol fill, and Sobol interior; one row per point, and each column
+    contiguous."""
     d = len(case.dims)
     n_face = max(1, n_interior // (8 * d)) if d > 1 else 0
     ints = _sobol(d, seed, 2 * d * n_face + n_interior)
     corners = 2 ** d
-    out = np.empty((corners + len(ints), d))
+    out = np.empty((d, corners + len(ints))).T
     out[:corners] = list(itertools.product((0.0, 1.0), repeat=d))
     np.multiply(ints, 2.0 ** -_SOBOL_BITS, out=out[corners:])
     # one Sobol run fills the faces (dim k pinned to 0, then to 1, for each
@@ -427,12 +428,18 @@ def _unit_samples(case: InequalityCase, n_interior: int, seed: int) -> np.ndarra
 
 
 def _scale(case: InequalityCase, unit: np.ndarray) -> np.ndarray:
+    """The box point of each unit sample, in unit's layout, column by column."""
     out = np.empty_like(unit)
     for k, (_, lo, hi, logscale) in enumerate(case.dims):
-        u = unit[:, k]
-        inner = np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo))) if logscale else lo + u * (hi - lo)
+        u, col = unit[:, k], out[:, k]
+        a, b = (np.log(lo), np.log(hi)) if logscale else (lo, hi)
+        np.multiply(u, b - a, out=col)
+        col += a
+        if logscale:
+            np.exp(col, out=col)
         # u = 0 and u = 1 land exactly on the ends: exp(log(lo)) can miss lo by an ulp
-        out[:, k] = np.select([u == 0.0, u == 1.0], [lo, hi], inner)
+        col[u == 0.0] = lo
+        col[u == 1.0] = hi
     return out
 
 

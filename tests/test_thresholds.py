@@ -504,6 +504,43 @@ class TestInequalityLedger:
         got = _sobol(d, seed, sum(sizes)) * 2.0 ** -30
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sobol_of_no_points(self, d):
+        assert _sobol(d, 0, 0).shape == (0, d)
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
+    def test_sample_columns_are_contiguous(self, case_id):
+        # the margins read one column per coordinate
+        case = INEQUALITY_CASES[case_id]
+        unit = _unit_samples(case, 1000, 3)
+        for arr in (unit, _scale(case, unit)):
+            assert arr.shape == (len(unit), len(case.dims))
+            assert all(arr[:, k].flags.c_contiguous for k in range(len(case.dims)))
+
+    @staticmethod
+    def _select_scale(case, unit):
+        # reference: each column built whole, the box ends placed by np.select
+        out = np.empty_like(unit)
+        for k, (_, lo, hi, logscale) in enumerate(case.dims):
+            u = unit[:, k]
+            inner = (np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo))) if logscale
+                     else lo + u * (hi - lo))
+            out[:, k] = np.select([u == 0.0, u == 1.0], [lo, hi], inner)
+        return out
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
+    @settings(max_examples=25)
+    @given(data=st.data(), seed=st.integers(0, 2**31 - 1))
+    def test_scale_matches_select_oracle(self, case_id, data, seed):
+        case = INEQUALITY_CASES[case_id]
+        d = len(case.dims)
+        u = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        drawn = np.array(data.draw(st.lists(st.lists(u, min_size=d, max_size=d),
+                                            min_size=1, max_size=40)))
+        for unit in (drawn, np.asfortranarray(drawn), _unit_samples(case, 1000, seed)):
+            got, want = _scale(case, unit), self._select_scale(case, unit)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
     @pytest.mark.parametrize("case_id", ["eq-sqrt", "eq-total"])
     def test_past_the_generators_range(self, case_id):
         # the fewest interior samples whose Sobol run (faces included)
