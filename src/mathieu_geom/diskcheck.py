@@ -115,9 +115,11 @@ def _fold_eval(coeffs: np.ndarray, radii, m: int, of: int = 1):
     radius: shape (S, len(radii), m); the slices cover of*m points.  With
     C[q, k] = c_(qm+k+1) (zero-padded) and w = rad e^(2 pi i j/(of m)) the
     terms folded modulo m are (w^(mq) @ C) w^k: two real matmuls (the real
-    and imaginary parts of w^(mq)) and one FFT.  Both products read strided
-    views of the complex rows, so numpy runs its own loop, not OpenBLAS,
-    which stalled in fresh processes and rounds differently."""
+    and imaginary parts of w^(mq)) and one FFT; at j = 0 the imaginary part
+    is zero and its product is skipped (the real product, summed from +0.0,
+    has no -0.0 for 1j * 0 to change).  Both products read strided views
+    of the complex rows, so numpy runs its own loop, not OpenBLAS, which
+    stalled in fresh processes and rounds differently."""
     s, n = coeffs.shape
     c = np.zeros((s, -(-n // m), m))  # zero-padded to whole rows of m
     c.reshape(s, -1)[:, :n] = coeffs
@@ -130,7 +132,10 @@ def _fold_eval(coeffs: np.ndarray, radii, m: int, of: int = 1):
         if j:
             cols = cols * step
         rows = rad_q * _turn(j * q, of)
-        yield np.fft.ifft((rows.real @ c + 1j * (rows.imag @ c)) * cols, axis=-1) * m
+        folded = rows.real @ c
+        if j:
+            folded = folded + 1j * (rows.imag @ c)
+        yield np.fft.ifft(folded * cols, axis=-1) * m
 
 
 def _series(functional: Functional, seq: SequenceBase, rho: float):

@@ -9,10 +9,11 @@ each checked here by dense stratified sampling of its constraint box
 (corners, faces and a scrambled Sobol design, generated in numpy).
 `digamma`, `trigamma` and the auxiliary functions take a float or an
 array; the ledger margins (the psi and psi' bounds among them) map
-a dict of column arrays to an array, so all sampled points of a box are
-scored in one numpy pass.  The sampler reports the minimum margin and its
-location so the sharpness of each estimate is visible; it verifies, it
-does not prove.
+a dict of column arrays to an array, so the sampled points of a box are
+scored in blocks of 2^14, a few numpy passes each, with array memory near
+2.5 MiB whatever the sample count.  The sampler reports the minimum margin
+and its location so the sharpness of each estimate is visible; it
+verifies, it does not prove.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import enum
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -355,6 +357,9 @@ _SOBOL_BITS = 30
 # primitive polynomial (coefficient bits) and initial m_1..m_s of
 # dimensions 2-4; dimension 1 has m_k = 1 throughout
 _JOE_KUO = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
+# sample rows per block of the ledger pass: its arrays stay near 2.5 MiB
+# (eq-total, 4 dimensions) whatever the sample count
+_BLOCK = 2**14
 
 
 def _direction_numbers() -> np.ndarray:
@@ -378,58 +383,80 @@ def _direction_numbers() -> np.ndarray:
 _SOBOL_V = _direction_numbers()
 
 
-def _sobol(d: int, seed: int, n: int) -> np.ndarray:
-    """The first n points of the scrambled d-dimensional Sobol sequence,
-    times 2^30, as an (n, d) uint32 array of contiguous columns.  The
-    scramble is drawn from `np.random.default_rng(seed)` in scipy's order
-    and dtype: the shift bits (bit k in column k), then the lower-triangular
-    matrices."""
-    if n > 2 ** _SOBOL_BITS:
+def _scramble(d: int, seed: int):
+    """The digital shift (d,) and the scrambled direction numbers (d, 30)
+    of the d-dimensional sequence, uint32, drawn from
+    `np.random.default_rng(seed)` in scipy's order and dtype: the shift
+    bits (bit k in column k), then the lower-triangular matrices."""
+    rng = np.random.default_rng(seed)
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    shift = (rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) << bits).sum(
+        axis=1, dtype=np.uint32)
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, bits, bits] = 1
+    # row i of the matrix, packed msb-first, gives bit 29-i of each scrambled
+    # direction number as the parity of (row & number), folded by xor-shifts
+    msb_first = _SOBOL_BITS - 1 - bits
+    rows = (ltm << msb_first).sum(axis=2, dtype=np.uint32)
+    par = rows[:, :, None] & _SOBOL_V[:d, None, :]
+    for s in (16, 8, 4, 2, 1):
+        par ^= par >> s
+    return shift, ((par & 1) << msb_first[:, None]).sum(axis=1, dtype=np.uint32)
+
+
+def _sobol_block(shift: np.ndarray, v: np.ndarray, k0: int, out: np.ndarray) -> None:
+    """Points k0, k0+1, ... of the scrambled sequence, times 2^30, into the
+    columns of out (d, n).  Point k is the shift xor the direction numbers
+    of the set bits of gray(k) = k xor (k >> 1), so point k is point k-1
+    xor the direction number of bit ctz(k); ctz(k) = b exactly at
+    k = 2^b mod 2^(b+1)."""
+    gray = k0 ^ (k0 >> 1)
+    out[:, 0] = shift
+    for b in range(gray.bit_length()):
+        if gray >> b & 1:
+            out[:, 0] ^= v[:, b]
+    for b in range((k0 + out.shape[1] - 1).bit_length()):
+        out[:, ((1 << b) - k0 - 1) % (2 << b) + 1::2 << b] = v[:, b, None]
+    np.bitwise_xor.accumulate(out, axis=1, out=out)
+
+
+def _unit_blocks(d: int, n_face: int, seed: int, start: int, stop: int):
+    """Rows [start, stop) of the stratified sample of the unit d-cube: the
+    2^d corners, then one scrambled Sobol run that fills the faces (dim k
+    pinned to 0, then to 1, n_face points each, for each k in turn) and
+    then the interior.  Yields them as (n, d) blocks of _BLOCK rows, the
+    last one shorter; every block is a view of one buffer, with contiguous
+    columns, that the next block overwrites."""
+    corners = 2 ** d
+    if stop - corners > 2 ** _SOBOL_BITS:
         raise ConfigurationError(
-            f"the Sobol generator gives at most 2**{_SOBOL_BITS} points, {n} were asked for")
+            f"the Sobol generator gives at most 2**{_SOBOL_BITS} points, "
+            f"{stop - corners} were asked for")
     if d > len(_SOBOL_V):
         raise ConfigurationError(
             f"the Sobol generator has {len(_SOBOL_V)} dimensions, {d} were asked for")
-    rng = np.random.default_rng(seed)
-    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
-    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
-    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    ltm[:, bits, bits] = 1
-    # row i of the matrix acts on bit 29-i of each direction number (mod 2)
-    msb_first = (_SOBOL_BITS - 1 - bits)[:, None]
-    v_bits = (_SOBOL_V[:d, None, :] >> msb_first) & 1
-    v = (((ltm @ v_bits) & 1) << msb_first).sum(axis=1, dtype=np.uint32)
-    # Gray code: point k is point k-1 xor the direction number of bit
-    # ctz(k), and ctz(k) = b exactly at k = 2^b, 3 2^b, 5 2^b, ...
-    pts = np.empty((d, n), dtype=np.uint32)
-    pts[:, :1] = shift[:, None]
-    for b in range(_SOBOL_BITS):
-        pts[:, 1 << b::2 << b] = v[:, b, None]
-    return np.bitwise_xor.accumulate(pts, axis=1, out=pts).T
+    shift, v = _scramble(d, seed)
+    corner_rows = np.array(list(itertools.product((0.0, 1.0), repeat=d))).T
+    ints = np.empty((d, min(_BLOCK, stop - start)), dtype=np.uint32)
+    unit = np.empty(ints.shape)
+    for r0 in range(start, stop, _BLOCK):
+        out = unit[:, :min(_BLOCK, stop - r0)]
+        head = min(max(corners - r0, 0), out.shape[1])  # corner rows of the block
+        out[:, :head] = corner_rows[:, r0:r0 + head]
+        k0 = r0 + head - corners  # Sobol index of the block's first other row
+        pts = ints[:, :out.shape[1] - head]
+        if pts.size:
+            _sobol_block(shift, v, k0, pts)
+            np.multiply(pts, 2.0 ** -_SOBOL_BITS, out=out[:, head:])
+        for f in range(2 * d):  # face f pins dim f // 2 to f % 2
+            lo, hi = max(f * n_face, k0), min((f + 1) * n_face, k0 + pts.shape[1])
+            if lo < hi:
+                out[f // 2, head + lo - k0:head + hi - k0] = f % 2
+        yield out.T
 
 
-def _unit_samples(case: InequalityCase, n_interior: int, seed: int) -> np.ndarray:
-    """Stratified samples in the unit cube: corners, boundary faces with
-    Sobol fill, and Sobol interior; one row per point, and each column
-    contiguous."""
-    d = len(case.dims)
-    n_face = max(1, n_interior // (8 * d)) if d > 1 else 0
-    ints = _sobol(d, seed, 2 * d * n_face + n_interior)
-    corners = 2 ** d
-    out = np.empty((d, corners + len(ints))).T
-    out[:corners] = list(itertools.product((0.0, 1.0), repeat=d))
-    np.multiply(ints, 2.0 ** -_SOBOL_BITS, out=out[corners:])
-    # one Sobol run fills the faces (dim k pinned to 0, then to 1, for each
-    # k in turn) and then the interior
-    faces = out[corners:corners + 2 * d * n_face].reshape(d, 2, n_face, d)
-    for k in range(d):
-        faces[k, :, :, k] = [[0.0], [1.0]]
-    return out
-
-
-def _scale(case: InequalityCase, unit: np.ndarray) -> np.ndarray:
-    """The box point of each unit sample, in unit's layout, column by column."""
-    out = np.empty_like(unit)
+def _scale(case: InequalityCase, unit: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The box point of each unit sample, written into out column by column."""
     for k, (_, lo, hi, logscale) in enumerate(case.dims):
         u, col = unit[:, k], out[:, k]
         a, b = (np.log(lo), np.log(hi)) if logscale else (lo, hi)
@@ -443,6 +470,13 @@ def _scale(case: InequalityCase, unit: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int, if it is an integer >= least; else ConfigurationError."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def verify_inequality(
     case: InequalityCase | str,
     samples: int = 10**5,
@@ -452,36 +486,45 @@ def verify_inequality(
     counterexample.  Verified means no sampled margin fell at or below
     -1e-12; a NaN margin makes the result Inconclusive, located at the
     first NaN.  The minimum margin and its location are always reported.
+    The points are scored in blocks of `_BLOCK`, so memory does not grow
+    with samples.
     """
     if isinstance(case, str):
         if case not in INEQUALITY_CASES:
             raise ConfigurationError(f"unknown inequality id: {case}")
         case = INEQUALITY_CASES[case]
-    if samples < 10**3:
-        raise ConfigurationError(f"samples must be >= 1000, got {samples}")
+    samples = _count("samples", samples, 10**3)
+    seed = _count("seed", seed, 0)
 
-    unit = _unit_samples(case, samples, seed)
-    coords = _scale(case, unit)
-    margins = np.broadcast_to(
-        np.asarray(case.margin(case.columns(coords)), dtype=float), len(coords))
-    nan = np.isnan(margins)
-    n_nan = int(nan.sum())
-    k = int(np.argmax(nan)) if n_nan else int(np.argmin(margins))
-    min_margin = float(margins[k])
-    argmin_point = case.point(coords[k])
+    d = len(case.dims)
+    corners = 2 ** d
+    n_face = max(1, samples // (8 * d)) if d > 1 else 0
+    total = corners + 2 * d * n_face + samples
+    coords = np.empty((d, min(_BLOCK, total))).T
+    # the least margin (the first of equal ones) or the first NaN, and its point
+    min_margin, argmin_point, n_nan = math.inf, None, 0
+    for unit in _unit_blocks(d, n_face, seed, 0, total):
+        block = _scale(case, unit, coords[:len(unit)])
+        margins = np.broadcast_to(
+            np.asarray(case.margin(case.columns(block)), dtype=float), len(block))
+        i = int(np.argmin(margins))  # the first NaN, if there is one
+        nan = math.isnan(margins[i])
+        if not n_nan and (argmin_point is None or nan or margins[i] < min_margin):
+            min_margin, argmin_point = float(margins[i]), case.point(block[i])
+        if nan:
+            n_nan += int(np.count_nonzero(np.isnan(margins)))
     if n_nan:
         status = Status.INCONCLUSIVE
-        found = f"margin NaN at {n_nan} of {len(coords)} points, first at {argmin_point}"
+        found = f"margin NaN at {n_nan} of {total} points, first at {argmin_point}"
     else:
         status = Status.VERIFIED if min_margin > -1e-12 else Status.FALSIFIED
         found = f"min margin at {argmin_point}"
-    corners = 2 ** len(case.dims)
     return CriterionReport(
         criterion=f"inequality:{case.id}",
         status=status,
-        terms_checked=len(coords),
+        terms_checked=total,
         min_margin=min_margin,
         detail=(f"{found}; Sobol seed {seed}: {corners} corner, "
-                f"{len(coords) - corners - samples} face and {samples} interior points"),
+                f"{total - corners - samples} face and {samples} interior points"),
         argmin_point=argmin_point,
     )

@@ -250,6 +250,14 @@ class TestVerify:
         assert data["criterion"] == "inequality:eq-frac-ineq"
         assert data["min_margin"] > 0
 
+    @pytest.mark.parametrize("argv,err", [
+        (["--samples", "1000", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["--samples", "999"], "samples must be an integer >= 1000, got 999"),
+    ])
+    def test_inequality_argument_errors_name_the_flag(self, capsys, argv, err):
+        code, out, got = run(capsys, "verify", "--inequality", "eq-sqrt", *argv)
+        assert (code, out, got) == (2, "", f"error: {err}\n")
+
     def test_nan_margin_exits_3(self, capsys, monkeypatch):
         from mathieu_geom.thresholds import INEQUALITY_CASES, InequalityCase
 

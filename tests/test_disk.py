@@ -380,6 +380,27 @@ class TestEvaluatorOracles:
             assert np.all(np.abs(part[0, 0] - whole[j::of]) <= 1e-13 * scale)
 
 
+    @settings(max_examples=40)
+    @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
+           n_radii=st.integers(1, 4), log_m=st.integers(2, 10), of=st.sampled_from([1, 2, 8]),
+           zeros=st.booleans())
+    def test_first_slice_has_the_bits_of_both_products(self, length, seed, decay, n_radii,
+                                                       log_m, of, zeros):
+        # the first slice skips the imaginary product, which is exactly zero;
+        # reference: both products on strided views, summed with 1j
+        coeffs = np.vstack([_coeffs(length, seed, decay), -_coeffs(length, seed + 1, decay)])
+        if zeros:
+            coeffs[:, ::3] = -0.0
+        radii, m = np.linspace(0.3, 0.9999, n_radii), 2**log_m
+        c = np.zeros((2, -(-length // m), m))
+        c.reshape(2, -1)[:, :length] = coeffs
+        rows = radii[:, None] ** (m * np.arange(c.shape[1])) * np.exp(0j)
+        want = np.fft.ifft((rows.real @ c + 1j * (rows.imag @ c)) * radii[:, None] ** np.arange(m),
+                           axis=-1) * m
+        got = next(_fold_eval(coeffs, radii, m, of))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestPolishedLongSeries:
     # Violated at max_radius 0.999 with a cut of 32512 terms
     GRID = DiskGrid(32, 128, 0.999)

@@ -4,6 +4,7 @@ and the inequality ledger."""
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,10 +41,10 @@ from mathieu_geom.thresholds import (
     threshold,
     trigamma,
     _scale,
-    _sobol,
-    _unit_samples,
+    _unit_blocks,
     verify_inequality,
 )
+from mathieu_geom import thresholds
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -333,6 +334,32 @@ class TestAuxiliaryFunctions:
         assert g_second_derivative(60.0, p) == 0.0
 
 
+def _layout(case, samples):
+    """(d, points per face, rows) of the stratified sample for samples."""
+    d = len(case.dims)
+    n_face = max(1, samples // (8 * d)) if d > 1 else 0
+    return d, n_face, 2**d + 2 * d * n_face + samples
+
+
+def _rows(d, n_face, seed, start, stop):
+    """Rows [start, stop) of the sampler's run, each block copied out of the
+    generator's buffer before the next overwrites it."""
+    blocks = [block.copy() for block in _unit_blocks(d, n_face, seed, start, stop)]
+    assert [len(block) for block in blocks[:-1]] == [thresholds._BLOCK] * (len(blocks) - 1)
+    return np.concatenate(blocks) if blocks else np.empty((0, d))
+
+
+def _unit_samples(case, samples, seed):
+    """The whole unit sample of one verify_inequality call."""
+    d, n_face, total = _layout(case, samples)
+    return _rows(d, n_face, seed, 0, total)
+
+
+def _coords(case, samples, seed):
+    unit = _unit_samples(case, samples, seed)
+    return _scale(case, unit, np.empty_like(unit))
+
+
 class TestInequalityLedger:
     ALL_IDS = [
         "eq-r-mu-c", "eq-psi-upper", "eq-psi-lower", "eq-trigamma",
@@ -391,7 +418,7 @@ class TestInequalityLedger:
         rep = verify_inequality(case, samples=10**3)
         assert rep.status is Status.INCONCLUSIVE
         assert math.isnan(rep.min_margin)
-        assert rep.argmin_point == case.point(_scale(case, _unit_samples(case, 10**3, 0))[0])
+        assert rep.argmin_point == case.point(_coords(case, 10**3, 0)[0])
         assert rep.argmin_point["x"] == pytest.approx(3.0, rel=1e-15)
         assert "margin NaN at 1002 of 1002 points" in rep.detail
 
@@ -400,11 +427,38 @@ class TestInequalityLedger:
             "some-nan", [("x", 3.0, 1e4, True)],
             lambda p: np.where(p["x"] > 100.0, math.nan, -1.0 / p["x"]))
         rep = verify_inequality(case, samples=10**3, seed=3)
-        coords = _scale(case, _unit_samples(case, 10**3, 3))[:, 0]
+        coords = _coords(case, 10**3, 3)[:, 0]
         first = int(np.argmax(coords > 100.0))
         assert rep.status is Status.INCONCLUSIVE
         assert rep.argmin_point == {"x": float(coords[first])}
         assert f"margin NaN at {int(np.sum(coords > 100.0))} of 1002 points" in rep.detail
+
+    def test_first_nan_in_the_second_block(self, monkeypatch):
+        # NaN on a band of x in (0.5, 0.51), and the least margin at x = 0,
+        # the first row: the first NaN wins over the earlier, smaller margin
+        case = InequalityCase(
+            "band-nan", [("x", 0.0, 1.0, False)],
+            lambda p: np.where((p["x"] > 0.5) & (p["x"] < 0.51), math.nan, p["x"] - 2.0))
+        x = _coords(case, 10**3, 11)[:, 0]
+        band = (x > 0.5) & (x < 0.51)
+        first = int(np.argmax(band))
+        assert 2 <= first and band.sum() > 1
+        monkeypatch.setattr(thresholds, "_BLOCK", first - first // 3)  # first NaN in block 2
+        assert thresholds._BLOCK <= first < 2 * thresholds._BLOCK
+        rep = verify_inequality(case, samples=10**3, seed=11)
+        assert rep.status is Status.INCONCLUSIVE and math.isnan(rep.min_margin)
+        assert rep.argmin_point == {"x": float(x[first])}
+        assert f"margin NaN at {int(band.sum())} of {len(x)} points, first at" in rep.detail
+
+    @pytest.mark.parametrize("margin", [lambda p: 1.5, lambda p: np.full_like(p["a"], 1.5)],
+                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    def test_constant_margin_keeps_the_first_corner(self, monkeypatch, margin, block):
+        case = InequalityCase("flat", [("a", 2.0, 3.0, False), ("b", 5.0, 6.0, True)], margin)
+        monkeypatch.setattr(thresholds, "_BLOCK", block)
+        rep = verify_inequality(case, samples=10**3, seed=4)
+        assert rep.status is Status.VERIFIED and rep.min_margin == 1.5
+        assert rep.argmin_point == {"a": 2.0, "b": 5.0}
 
     def test_detail_gives_provenance(self):
         # eq-total has 4 dims: 16 corners, 8 faces of 2000 // 32 points each
@@ -417,10 +471,9 @@ class TestInequalityLedger:
     @staticmethod
     def _loop_oracle(case, samples, seed, slack=1e-12):
         # reference: the per-point loop the vectorized pass replaced
-        unit = _unit_samples(case, samples, seed)
-        coords = _scale(case, unit)
         min_margin = math.inf
         argmin_point = None
+        coords = _coords(case, samples, seed)
         for row in coords:
             point = case.point(row)
             m = case.margin(point)
@@ -443,10 +496,34 @@ class TestInequalityLedger:
         assert rep.terms_checked == n
 
     @pytest.mark.parametrize("case_id", ALL_IDS)
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_any_block_size_matches_loop_oracle(self, monkeypatch, case_id, block):
+        case = INEQUALITY_CASES[case_id]
+        status, min_margin, argmin_point, n = self._loop_oracle(case, 1000, 5)
+        whole = verify_inequality(case, samples=1000, seed=5)
+        monkeypatch.setattr(thresholds, "_BLOCK", block)
+        rep = verify_inequality(case, samples=1000, seed=5)
+        assert rep.status is status
+        assert repr(rep.min_margin) == repr(min_margin)
+        assert rep.argmin_point == argmin_point
+        assert rep.terms_checked == n
+        assert rep == whole
+
+    def test_memory_does_not_grow_with_samples(self):
+        verify_inequality("eq-total", 10**3)
+        tracemalloc.start()
+        try:
+            verify_inequality("eq-total", 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("case_id", ALL_IDS)
     def test_faces_land_exactly_on_the_box_ends(self, case_id):
         case = INEQUALITY_CASES[case_id]
         unit = _unit_samples(case, 1000, 3)
-        coords = _scale(case, unit)
+        coords = _scale(case, unit, np.empty_like(unit))
         corners = 2 ** len(case.dims)
         for k, (_, lo, hi, _) in enumerate(case.dims):
             assert set(coords[:corners, k]) == {lo, hi}
@@ -457,7 +534,7 @@ class TestInequalityLedger:
     @pytest.mark.parametrize("case_id", ALL_IDS)
     def test_margin_takes_one_point_of_floats(self, case_id):
         case = INEQUALITY_CASES[case_id]
-        coords = _scale(case, _unit_samples(case, 1000, 5))
+        coords = _coords(case, 1000, 5)
         margins = case.margin(case.columns(coords))
         for k in range(0, len(coords), 97):
             m = case.margin(case.point(coords[k]))
@@ -496,26 +573,49 @@ class TestInequalityLedger:
     @given(d=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
            sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=5))
     def test_sobol_matches_scipy(self, d, seed, sizes):
-        # scipy's engine is the oracle: the same points over any sequence of draws
+        # scipy's engine is the oracle: the same points over any sequence of
+        # draws; with no faces the Sobol run starts right after the corners
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # draw sizes that are not powers of 2
             sobol = qmc.Sobol(d, scramble=True, seed=seed)
             want = np.vstack([sobol.random(n) for n in sizes])
-        got = _sobol(d, seed, sum(sizes)) * 2.0 ** -30
+        got = _rows(d, 0, seed, 2**d, 2**d + sum(sizes))
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sobol_of_no_points(self, d):
-        assert _sobol(d, 0, 0).shape == (0, d)
+        assert list(_unit_blocks(d, 1, 0, 2**d, 2**d)) == []
+        assert _rows(d, 1, 0, 0, 2**d).shape == (2**d, d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+           samples=st.integers(1000, 3000), block=st.sampled_from([1, 5, 64, 1000, 2**14]))
+    def test_blocks_match_the_whole_run(self, data, d, seed, samples, block):
+        # any [start, stop), cut into any block size, is that slice of the run
+        n_face = max(1, samples // (8 * d)) if d > 1 else 0
+        corners, total = 2**d, 2**d + 2 * d * n_face + samples
+        whole = _rows(d, n_face, seed, 0, total)
+        interior = corners + 2 * d * n_face  # first row past the faces
+        start = data.draw(st.one_of(
+            st.just(0), st.integers(0, total),
+            st.sampled_from([2**j for j in range(12)] + [corners + 2**j for j in range(11)]),
+            st.integers(max(0, interior - 70), interior)))
+        stop = data.draw(st.integers(start, min(total, start + 3000)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thresholds, "_BLOCK", block)
+            got = _rows(d, n_face, seed, start, stop)
+        assert np.array_equal(got, whole[start:stop])
 
     @pytest.mark.parametrize("case_id", ALL_IDS)
     def test_sample_columns_are_contiguous(self, case_id):
         # the margins read one column per coordinate
         case = INEQUALITY_CASES[case_id]
-        unit = _unit_samples(case, 1000, 3)
-        for arr in (unit, _scale(case, unit)):
-            assert arr.shape == (len(unit), len(case.dims))
-            assert all(arr[:, k].flags.c_contiguous for k in range(len(case.dims)))
+        d, n_face, total = _layout(case, 1000)
+        coords = np.empty((d, total)).T
+        for unit in _unit_blocks(d, n_face, 3, 0, total):
+            for arr in (unit, _scale(case, unit, coords[:len(unit)])):
+                assert arr.shape == (len(unit), d)
+                assert all(arr[:, k].flags.c_contiguous for k in range(d))
 
     @staticmethod
     def _select_scale(case, unit):
@@ -538,7 +638,7 @@ class TestInequalityLedger:
         drawn = np.array(data.draw(st.lists(st.lists(u, min_size=d, max_size=d),
                                             min_size=1, max_size=40)))
         for unit in (drawn, np.asfortranarray(drawn), _unit_samples(case, 1000, seed)):
-            got, want = _scale(case, unit), self._select_scale(case, unit)
+            got, want = _scale(case, unit, np.empty_like(unit)), self._select_scale(case, unit)
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("case_id", ["eq-sqrt", "eq-total"])
@@ -568,3 +668,18 @@ class TestInequalityLedger:
             verify_inequality("no-such-id")
         with pytest.raises(ConfigurationError):
             verify_inequality("eq-sqrt", samples=10)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"samples": 1e5}, "samples"), ({"samples": 999}, "samples"),
+        ({"samples": "1000"}, "samples"), ({"samples": None}, "samples"),
+        ({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"), ({"seed": 1.0}, "seed"),
+    ])
+    def test_argument_errors_name_the_argument(self, monkeypatch, kwargs, name):
+        # checked before any point is drawn
+        monkeypatch.setattr(thresholds, "_unit_blocks", None)
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer >= "):
+            verify_inequality("eq-sqrt", **kwargs)
+
+    def test_numpy_integer_arguments(self):
+        assert (verify_inequality("eq-total", np.int64(1000), np.uint32(9))
+                == verify_inequality("eq-total", 1000, 9))
