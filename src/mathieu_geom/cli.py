@@ -3,7 +3,8 @@
 Subcommands: eval, coeffs, verify, thresholds, sweep, examples, theorems.
 stdout carries data, stderr carries diagnostics.  Exit codes:
 0 verified/holds/pass, 1 falsified/violated, 2 domain or usage error,
-3 inconclusive.
+3 inconclusive.  Every report is rendered by report_dict: its fields in
+declared order, and a field that has a default only when it is set.
 """
 
 from __future__ import annotations
@@ -12,19 +13,15 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from enum import Enum
 
-from .criteria import CRITERIA, DEFAULT_TERMS, CriterionReport, Status, check_goodman, run_criterion
-from .diskcheck import (
-    DiskGrid,
-    DiskReport,
-    DiskStatus,
-    Functional,
-    dump_grid_csv,
-    verify_functional,
-)
-from .explorer import DEFAULT_BISECT_TOL, EXPLORE_TERMS, record_to_dict, sweep, theorem_matrix
-from .params import MathieuGeomError, ParamSet
+from .criteria import CRITERIA, DEFAULT_TERMS, check_goodman, run_criterion
+from .diskcheck import DiskGrid, Functional, dump_grid_csv, verify_functional
+from .explorer import DEFAULT_BISECT_TOL, EXPLORE_TERMS, sweep, theorem_matrix
+from .params import ConfigurationError, MathieuGeomError, ParamSet
 from .series import (
     DEFAULT_TOL,
     CoefficientSeq,
@@ -43,16 +40,27 @@ from .thresholds import (
 )
 
 _FUNCTIONAL_NAMES = {f.name.lower().replace("_", "-"): f for f in Functional}
+# the syntax of float() and complex(), so that text failing them is a usage
+# error; re compiles each pattern at its first use, not at import
+_D = r"\d(_?\d)*"
+_REAL = rf"(({_D}\.?({_D})?|\.{_D})(e[+-]?{_D})?|inf(inity)?|nan)"
+_FLOAT = rf"(?i)\s*[+-]?{_REAL}\s*"
+_COMPLEX = rf"(?i)\s*(\(\s*)?[+-]?({_REAL}([+-]{_REAL}?j)?|{_REAL}?j)(?(1)\s*\))\s*"
 
 
 def parse_complex(text: str) -> complex:
-    """Parse Python complex syntax, with a trailing i also read as j:
+    """Parse --z in Python complex syntax, with a trailing i also read as j:
     'a+bi', 'a', 'bi', '-i'; spaces are ignored."""
-    text = text.replace(" ", "")
-    return complex(text[:-1] + "j" if text.endswith("i") else text)
+    z = text.replace(" ", "")
+    z = z[:-1] + "j" if z.endswith("i") else z
+    if not re.fullmatch(_COMPLEX, z):
+        raise ConfigurationError(f"--z must be a complex number like 0.5+0.25i, got {text!r}")
+    return complex(z)
 
 
 def _seq_from_flags(args) -> CoefficientSeq:
+    if args.family in ("S", "S-integral"):
+        raise ConfigurationError(f"--family {args.family} is not a power series: use eval")
     if args.mu is None and args.r is None:
         return CoefficientSeq(args.family)
     return CoefficientSeq(args.family, ParamSet(args.mu, args.r))
@@ -88,46 +96,22 @@ def _emit(payload: dict | list, rows: list[dict], args) -> None:
         print(out)
 
 
-def criterion_report_dict(rep: CriterionReport) -> dict:
-    d = {
-        "criterion": rep.criterion,
-        "status": rep.status.value,
-        "terms_checked": rep.terms_checked,
-        "min_margin": rep.min_margin,
-    }
-    if rep.witness is not None:
-        d["witness"] = {"n": rep.witness.n, "lhs": rep.witness.lhs,
-                        "rhs": rep.witness.rhs}
-    if rep.argmin_point is not None:
-        d["argmin_point"] = rep.argmin_point
-    if rep.detail:
-        d["detail"] = rep.detail
-    return d
-
-
-def disk_report_dict(rep: DiskReport) -> dict:
-    return {
-        "functional": rep.functional.value,
-        "status": rep.status.value,
-        "min_value": rep.min_value,
-        "bound": rep.bound,
-        "argmin_re": rep.argmin.real,
-        "argmin_im": rep.argmin.imag,
-        "grid": {"n_radii": rep.grid.n_radii, "n_angles": rep.grid.n_angles,
-                 "max_radius": rep.grid.max_radius},
-        "terms": rep.terms,
-        "tail_bound": rep.tail_bound,
-        "m": rep.m, "discretisation_bound": rep.discretisation_bound,
-        "lower_bound": rep.lower_bound, "winding": rep.winding,
-    }
-
-
-def _status_exit(status) -> int:
-    if status in (Status.VERIFIED, DiskStatus.HOLDS):
-        return 0
-    if status in (Status.INCONCLUSIVE, DiskStatus.INCONCLUSIVE):
-        return 3
-    return 1
+def report_dict(rep) -> dict:
+    """A report dataclass as its output dict: fields in declared order, an
+    Enum as its value, a complex field x as x_re and x_im, a nested dataclass
+    whole; a field that has a default is left out while it holds it."""
+    out = {}
+    for f in fields(rep):
+        v = getattr(rep, f.name)
+        if f.default is not MISSING and v == f.default:
+            continue
+        if isinstance(v, Enum):
+            v = v.value
+        if isinstance(v, complex):
+            out[f"{f.name}_re"], out[f"{f.name}_im"] = v.real, v.imag
+        else:
+            out[f.name] = asdict(v) if is_dataclass(v) else v
+    return out
 
 
 def cmd_eval(args) -> int:
@@ -135,24 +119,15 @@ def cmd_eval(args) -> int:
         if args.r is None:
             raise MathieuGeomError("classical Mathieu series requires --r")
         if args.family == "S":
-            res = eval_S(args.r, args.tol)
-            payload = {"value": res.value, "truncation_index": res.truncation_index,
-                       "tail_bound": res.tail_bound}
+            payload = report_dict(eval_S(args.r, args.tol))
         else:
             rule = S_integral_rule(args.r, args.tol)
             payload = {"value": eval_S_integral(args.r, args.tol),
                        "error_bound": rule.error_bound, "nodes": rule.nodes}
-        _emit(payload, [payload], args)
-        return 0
-    if args.z is None:
+    elif args.z is None:
         raise MathieuGeomError("power-series families require --z")
-    res = eval_series(_seq_from_flags(args), parse_complex(args.z), args.tol)
-    payload = {
-        "value_re": res.value.real,
-        "value_im": res.value.imag,
-        "truncation_index": res.truncation_index,
-        "tail_bound": res.tail_bound,
-    }
+    else:
+        payload = report_dict(eval_series(_seq_from_flags(args), parse_complex(args.z), args.tol))
     _emit(payload, [payload], args)
     return 0
 
@@ -171,7 +146,6 @@ def cmd_verify(args) -> int:
             "choose exactly one of --criterion, --functional, --inequality")
     if args.criterion:
         rep = run_criterion(args.criterion, _seq_from_flags(args), args.terms)
-        payload = criterion_report_dict(rep)
     elif args.functional:
         seq = _seq_from_flags(args)
         grid = _grid_from_flags(args)
@@ -179,22 +153,26 @@ def cmd_verify(args) -> int:
         rep = verify_functional(functional, seq, grid=grid)
         if args.dump_grid:
             dump_grid_csv(functional, seq, None, grid, args.dump_grid)
-        payload = disk_report_dict(rep)
     else:
         rep = verify_inequality(args.inequality, args.samples, args.seed)
-        payload = criterion_report_dict(rep)
+    payload = report_dict(rep)
     _emit(payload, [payload], args)
-    return _status_exit(rep.status)
+    return {"Verified": 0, "Holds": 0, "Inconclusive": 3}.get(rep.status.value, 1)
 
 
 def _parse_kinds(text: str) -> list[ThresholdKind]:
     """'all' or a comma-separated list of ThresholdKind values."""
     if text == "all":
         return list(ThresholdKind)
+    names = [k.value for k in ThresholdKind]
+    if not set(text.split(",")) <= set(names):
+        raise ConfigurationError(f"--kinds takes all or some of {','.join(names)}, got {text!r}")
     return [ThresholdKind(k) for k in text.split(",")]
 
 
 def _parse_mu_grid(args) -> list[float]:
+    if not all(re.fullmatch(_FLOAT, m) for m in args.mu_grid.split(",")):
+        raise ConfigurationError(f"--mu-grid takes comma-separated numbers, got {args.mu_grid!r}")
     return [float(m) for m in args.mu_grid.split(",")]
 
 
@@ -210,7 +188,7 @@ def cmd_sweep(args) -> int:
     records = sweep(_parse_kinds(args.kinds), _parse_mu_grid(args), probe=args.probe,
                     r_hi=args.r_hi, tol=args.tol, n_terms=args.terms,
                     grid=_grid_from_flags(args))
-    rows = [record_to_dict(rec) for rec in records]
+    rows = [report_dict(rec) for rec in records]
     _emit(rows, rows, args)
     return 0
 
@@ -221,18 +199,12 @@ def cmd_examples(args) -> int:
         "DoubleFactorial_goodman": check_goodman(
             CoefficientSeq(Family.DOUBLE_FACTORIAL), args.terms),
     }
-    payload = {}
-    rows = []
-    all_ok = True
-    for name, rep in reports.items():
-        payload[name] = criterion_report_dict(rep)
-        rows.append({"check": name, **criterion_report_dict(rep)})
-        all_ok = all_ok and rep.ok
-    s1 = eval_S(1.0, 1e-12)
-    payload["S_at_1"] = s1.value
-    rows.append({"check": "S_at_1", "value": s1.value})
+    payload = {name: report_dict(rep) for name, rep in reports.items()}
+    rows = [{"check": name, **d} for name, d in payload.items()]
+    payload["S_at_1"] = eval_S(1.0, 1e-12).value
+    rows.append({"check": "S_at_1", "value": payload["S_at_1"]})
     _emit(payload, rows, args)
-    return 0 if all_ok else 1
+    return 0 if all(rep.ok for rep in reports.values()) else 1
 
 
 def cmd_theorems(args) -> int:
@@ -338,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MathieuGeomError, ValueError) as exc:
+    except MathieuGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,8 +67,8 @@ class CriterionReport:
     terms_checked: int
     min_margin: float
     witness: Optional[Witness] = None
-    detail: str = ""
     argmin_point: Optional[dict] = None  # used by the inequality sampler
+    detail: str = ""
 
     @property
     def ok(self) -> bool:

@@ -83,17 +83,17 @@ class DiskGrid:
 @dataclass
 class DiskReport:
     functional: Functional
+    status: DiskStatus
     min_value: float    # least sample of the functional, at argmin
+    bound: float
     argmin: complex
     grid: DiskGrid
-    status: DiskStatus
-    bound: float
     terms: int          # longest coefficient array used
     tail_bound: float   # largest tail majorant of the series cuts used
     m: int              # circle points of the deciding pass
     discretisation_bound: float  # K pi^2 / (2 m^2)
     lower_bound: float  # least certified sample minus both error terms
-    winding: Optional[int] = None  # Starlike: discrete winding number of f/z on the circle
+    winding: Optional[int]  # Starlike: discrete winding number of f/z on the circle
 
     @property
     def holds(self) -> bool:
@@ -268,7 +268,7 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
             while m <= need and m < cap:
                 m *= 2
             continue
-        return DiskReport(functional, min_value, argmin, grid, status, bound, terms, tail_bound,
+        return DiskReport(functional, status, min_value, bound, argmin, grid, terms, tail_bound,
                           m, disc, lower, winding if starlike else None)
 
 

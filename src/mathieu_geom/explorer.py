@@ -10,7 +10,7 @@ CoherenceError (it would indicate a bug or a tolerance problem).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .criteria import (
     DEFAULT_TERMS,
@@ -166,7 +166,3 @@ def sweep(
                     f"error: {exc}",
                 ))
     return records
-
-
-def record_to_dict(rec: ThresholdRecord) -> dict:
-    return {**asdict(rec), "kind": rec.kind.value}

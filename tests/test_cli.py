@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import enum
 import io
 import json
 import math
@@ -11,13 +12,25 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mathieu_geom
-from mathieu_geom.cli import _FUNCTIONAL_NAMES, build_parser, main, parse_complex, theorem_matrix
-from mathieu_geom.explorer import record_to_dict, sweep
+from mathieu_geom import cli
+from mathieu_geom.cli import (
+    _FUNCTIONAL_NAMES,
+    build_parser,
+    main,
+    parse_complex,
+    report_dict,
+    theorem_matrix,
+)
+from mathieu_geom.explorer import sweep
 from mathieu_geom.series import eval_S
 from mathieu_geom.thresholds import MU_MIN, ThresholdKind, threshold
 
@@ -384,6 +397,120 @@ class TestThresholdsAndSweep:
         assert rows[2]["status"] == "" and 0.79 < float(rows[2]["value"]) < 0.80
 
 
+class TestUsageErrors:
+    """Bad flag values are package errors that name the flag; any other
+    exception is a bug, and main lets it through."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["eval", "--family", "F", "--mu", "1", "--r", "1", "--z=abc"], "--z"),
+        (["eval", "--family", "F", "--mu", "1", "--r", "1", "--z", "1+2j+3i"], "--z"),
+        (["thresholds", "--kinds", "F_Bogus"], "--kinds"),
+        (["sweep", "--kinds", ","], "--kinds"),
+        (["sweep", "--mu-grid", "1,x"], "--mu-grid"),
+        (["thresholds", "--mu-grid", ",1"], "--mu-grid"),
+        (["theorems", "--mu-grid", "one"], "--mu-grid"),
+        (["coeffs", "--family", "S"], "--family"),
+        (["coeffs", "--family", "S-integral", "--r", "1"], "--family"),
+        (["verify", "--family", "S", "--criterion", "ozaki"], "--family"),
+        (["verify", "--family", "S-integral", "--functional", "starlike"], "--family"),
+    ])
+    def test_bad_value_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+    @settings(max_examples=2000)
+    @given(st.text(alphabet="0123456789.eE+-_jJinfatyNI() \t", max_size=12))
+    @example("1_0.5e-1_0+infj")
+    @example("(.5-NaNj)")
+    def test_number_syntax_is_that_of_float_and_complex(self, text):
+        # a value the check passes never reaches float() or complex() to fail there
+        for parse, syntax in ((float, cli._FLOAT), (complex, cli._COMPLEX)):
+            try:
+                parse(text)
+                parses = True
+            except ValueError:
+                parses = False
+            assert bool(re.fullmatch(syntax, text)) == parses, (parse, text)
+
+    def test_a_bare_value_error_is_a_bug(self, capsys, monkeypatch):
+        def broken(r, tol):
+            raise ValueError("a bug, not a usage error")
+
+        monkeypatch.setattr(cli, "eval_S", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["eval", "--family", "S", "--r", "2"])
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+@dataclass
+class _Inner:
+    a: int = 1
+    b: str = ""
+
+
+@dataclass
+class _Report:
+    z: complex
+    colour: _Colour
+    inner: _Inner
+    unset: Optional[int]
+    extra: Optional[int] = None
+    note: str = ""
+    tail: float = 0.0
+
+
+class TestReportDict:
+    """Every printed report goes through one rule: declared field order, an
+    Enum as its value, complex x as x_re and x_im, a nested dataclass whole,
+    and a field with a default left out while it holds the default."""
+
+    def test_each_clause_of_the_rule(self):
+        d = report_dict(_Report(1 + 2j, _Colour.RED, _Inner(), None, tail=3.0))
+        assert list(d.items()) == [
+            ("z_re", 1.0), ("z_im", 2.0), ("colour", "red"),
+            ("inner", {"a": 1, "b": ""}), ("unset", None), ("tail", 3.0)]
+        d = report_dict(_Report(0j, _Colour.RED, _Inner(2, "x"), 5, extra=0, note="n"))
+        assert list(d) == ["z_re", "z_im", "colour", "inner", "unset", "extra", "note"]
+        assert d["inner"] == {"a": 2, "b": "x"} and d["extra"] == 0
+
+    WITNESS, GRID = ["n", "lhs", "rhs"], ["n_radii", "n_angles", "max_radius"]
+    DISK = ["functional", "status", "min_value", "bound", "argmin_re", "argmin_im", "grid",
+            "terms", "tail_bound", "m", "discretisation_bound", "lower_bound", "winding"]
+    F_ARGS = ["--family", "F", "--mu", "1"]
+
+    @pytest.mark.parametrize("argv,keys,nested", [
+        (["verify", "--criterion", "ozaki", *F_ARGS, "--r", "3"],
+         ["criterion", "status", "terms_checked", "min_margin", "witness", "detail"],
+         {"witness": WITNESS}),
+        (["verify", "--inequality", "eq-sqrt", "--samples", "1000"],
+         ["criterion", "status", "terms_checked", "min_margin", "argmin_point", "detail"], {}),
+        (["verify", "--functional", "starlike", *F_ARGS, "--r", "0.6"], DISK, {"grid": GRID}),
+        (["verify", "--functional", "ratio-halfplane", *F_ARGS, "--r", "0.6"], DISK,
+         {"grid": GRID}),
+        (["sweep", "--kinds", "F_Starlike", "--mu-grid", "1"],
+         ["kind", "mu", "sufficient_r", "empirical_r", "gap", "probe", "status"], {}),
+        (["eval", *F_ARGS, "--r", "1", "--z", "0.5+0.25i"],
+         ["value_re", "value_im", "truncation_index", "tail_bound"], {}),
+        (["eval", "--family", "S", "--r", "2"], ["value", "truncation_index", "tail_bound"], {}),
+    ], ids=["falsified-criterion", "inequality", "starlike", "ratio-halfplane", "sweep",
+            "eval-series", "eval-S"])
+    def test_json_key_order(self, capsys, argv, keys, nested):
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        data = json.loads(out)
+        data = data[0] if argv[0] == "sweep" else data
+        assert list(data) == keys
+        for key, inner in nested.items():
+            assert list(data[key]) == inner
+        if "winding" in data:  # Starlike counts the winding of f/z; the others print null
+            assert data["winding"] == (0 if "starlike" in argv else None)
+        if argv[0] == "sweep":
+            assert data["kind"] == "F_Starlike"
+
+
 class TestTheorems:
     def test_matrix_helper_row_count(self):
         rows = theorem_matrix([0.5, 1.0, 2.0, 5.0],
@@ -497,6 +624,19 @@ class TestColdImport:
         assert not {m for m in imported if m.split(".")[0] == "scipy"}
 
 
+@pytest.mark.parametrize("path", sorted(Path(mathieu_geom.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_handler_catches_bugs(path):
+    # package errors are typed; a bare or broader handler would also catch bugs
+    broad = {"Exception", "BaseException", "ValueError", "ArithmeticError"}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler):
+            where = f"{path.name}:{node.lineno}"
+            assert node.type is not None, f"bare except at {where}"
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+            assert not names & broad, where
+
+
 class TestDerivedTables:
     """The CLI's names and rows come from the library's tables; the
     benchmark's command pools rely on these exact names."""
@@ -517,7 +657,7 @@ class TestDerivedTables:
         code, out, _ = run(capsys, "sweep", "--kinds", ",".join(kinds),
                            "--mu-grid", "2,1", "--format", fmt)
         assert code == 0
-        rows = [record_to_dict(rec) for rec in sweep(kinds, mu_grid)]
+        rows = [report_dict(rec) for rec in sweep(kinds, mu_grid)]
         if fmt == "json":
             assert out == json.dumps(rows, indent=2) + "\n"
         else:
