@@ -81,7 +81,7 @@ def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool):
     if n_terms < least:
         raise ParameterDomainError(f"N must be >= {least}, got {n_terms}")
     vals, logs = c.read(n_terms)
-    if abs(vals[0] - 1.0) > 1e-12:
+    if not abs(vals[0] - 1.0) <= 1e-12:  # NaN is not normalized either
         raise NormalizationError(f"sequence is not normalized: a_1 = {vals[0]}")
     n, log_n = prefix_arrays(n_terms)
     return (n * vals, logs + log_n) if weighted else (vals, logs)

@@ -13,6 +13,11 @@ bound it from below (Holds); a sample at or below bound - 1e-9 is Violated;
 m doubles up to 2^20, where a check still open is Inconclusive.
 Starlike certifies Re(f' conj(f/z)), of the sign of Re(z f'/f), and shows
 f/z zero-free by its winding number on the circle (argument principle).
+
+The dip bound K >= |g''| is global, but near |z| = 1 the series peak at
+z = 1; once it fails and its next pass would exceed the N terms, each arc
+gets its own from S(w) = T(w) (1-w)^(-k), T the k-th differences of c
+(summation by parts; Zygmund, Trigonometric Series, ch. I).
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ class DiskReport:
     terms: int          # longest coefficient array used
     tail_bound: float   # largest tail majorant of the series cuts used
     m: int              # circle points of the deciding pass
-    discretisation_bound: float  # K pi^2 / (2 m^2)
+    discretisation_bound: float  # K pi^2 / (2 m^2); per arc, that of the arc setting lower_bound
     lower_bound: float  # least certified sample minus both error terms
     winding: Optional[int]  # Starlike: discrete winding number of f/z on the circle
 
@@ -157,16 +162,57 @@ def _series(functional: Functional, seq: SequenceBase, rho: float):
 
 
 def _moments(rows: np.ndarray, rho: float):
-    """M_j = sum_n |c_n| rho^(n-1) (n-1)^j of each row, for j = 0, 1, 2,
-    one product at a time, all freed before the circle pass."""
+    """M_j = sum_n |c_n| rho^(n-1) (n-1)^j of each row, for j = 0, 1, 2, one
+    product at a time, and the weights rho^(n-1) for _arc_polynomials."""
     n = np.arange(rows.shape[1], dtype=float)  # n - 1
+    pw = rho**n
     weights = np.abs(rows)
-    weights *= rho**n
+    weights *= pw
     # elementwise sums: as a BLAS product (weights @ n) this stalled for
     # ~0.3 s in fresh processes under multi-threaded OpenBLAS
     m0, m1 = weights.sum(axis=1), (weights * n).sum(axis=1)
     n *= n  # exact, as n**2
-    return m0, m1, (weights * n).sum(axis=1)
+    return (m0, m1, (weights * n).sum(axis=1)), pw
+
+
+def _arc_polynomials(rows: np.ndarray, pw: np.ndarray, moments, rho: float):
+    """A_p (axis 1) of d^-k (A_0 + A_1/d + A_2/d^2) >= the i-th theta
+    derivative (axis 2) of each row's S where |1-w| >= d, k = 1, 2, 3 (axis
+    0): Leibniz on S = T (1-w)^(-k), with T^(i) <= M_i(T) and (1-w)^(-k)'s
+    d^-k, k rho d^-(k+1), k rho d^-(k+1) + k(k+1) rho^2 d^-(k+2).  A computed
+    k-th difference is within k 2^-53 sum_l C(k,l) |c_(n-l)|; 8e-15 (M_0,
+    M_1 + 3 M_0, M_2 + 6 M_1 + 9 M_0) of c bounds 1e-15 times that in M_i."""
+    s, n = rows.shape
+    t = np.zeros((4, s, n + 3))
+    t[0, :, :n] = rows
+    for k in (1, 2, 3):
+        t[k, :, 0] = t[k - 1, :, 0]
+        np.subtract(t[k - 1, :, 1:], t[k - 1, :, :-1], out=t[k, :, 1:])
+    w = np.abs(t[1:], out=t[1:])
+    w *= np.append(pw, rho ** np.arange(n, n + 3.0))
+    idx, sums = np.arange(n + 3.0), [w.sum(axis=2)]
+    for _ in (1, 2):
+        w *= idx
+        sums.append(w.sum(axis=2))
+    m0, m1, m2 = moments
+    t0, t1, t2 = np.array(sums) + 8e-15 * np.array([m0, m1 + 3.0 * m0, m2 + 6.0 * m1 + 9.0 * m0])[:, None]
+    kr = np.arange(1.0, 4.0)[:, None] * rho  # k rho
+    return np.array([[t0, t1, t2], [0.0 * t0, kr * t0, kr * (2.0 * t1 + t0)],
+                     [0.0 * t0, 0.0 * t0, kr * (kr + rho) * t0]]).transpose(2, 0, 1, 3)[..., None]
+
+
+def _arc_bounds(poly, glob, rho: float, m: int):
+    """B_i >= the i-th theta derivative of S, shape (orders, rows, arcs), on
+    the arcs [theta_j, theta_(j+1)], j <= (m-1)/2, of m (arc m-1-j mirrors
+    arc j): the least of glob (the global M_i) and, over k, _arc_polynomials
+    at d = |1-w| at the arc's end nearer theta = 0, 1/d raised by 2e-15."""
+    dist = np.hypot(1.0 - rho, 2.0 * math.sqrt(rho) * np.sin(math.pi / m * np.arange((m + 1) // 2 + 1)))
+    inv = (1.0 + 2e-15) / np.minimum(dist[:-1], dist[1:])
+    bound, scale = glob, 1.0
+    for a0, a1, a2 in poly:
+        scale = scale * inv
+        bound = np.minimum(bound, ((a2 * inv + a1) * inv + a0) * scale)
+    return bound
 
 
 def _values(functional: Functional, series: np.ndarray, z_abs, point):
@@ -186,33 +232,34 @@ def _values(functional: Functional, series: np.ndarray, z_abs, point):
 
 def _circle_pass(functional: Functional, rows: np.ndarray, rho: float, m: int):
     """Sample at z_k = rho e^(2 pi i k/m), k < m, in `of` interleaved slices
-    (slice j holds k = j, j + of, ...) keeping running minima.  Returns
-    (least value, its z_k, least certified value, least |f/z| (inf unless
-    Starlike), winding number of f/z); the winding sum adds each slice's
-    step to the next."""
+    (slice j holds k = j, j + of, ...) keeping a running minimum.  Returns
+    (least value, its z_k, certified value at each z_k, |f/z| at each z_k
+    (Starlike, else None), winding number of f/z); the winding sum adds each
+    slice's step to the next."""
     s = m
     while s > _MAX_SLICE and s % 2 == 0:
         s //= 2
     of = m // s
-    low, k_low, cert, p_low, turns = math.inf, 0, math.inf, math.inf, 0.0
+    starlike = functional is Functional.STARLIKE
+    low, k_low, turns = math.inf, 0, 0.0
+    cert, p_abs = np.empty(m), np.empty(m) if starlike else None
     for j, series in enumerate(_fold_eval(rows, [rho], s, of)):
         series = series[:, 0]
-        vals, certified = _values(functional, series, rho, lambda i: rho * _turn(j + of * i, m))
+        vals, cert[j::of] = _values(functional, series, rho, lambda i: rho * _turn(j + of * i, m))
         i = int(np.argmin(vals))
         if vals[i] < low:
             low, k_low = float(vals[i]), j + of * i
-        cert = min(cert, float(np.min(certified)))
-        if functional is Functional.STARLIKE:
+        if starlike:
             p = series[0]
-            p_low = min(p_low, float(np.min(np.abs(p))))
+            np.abs(p, out=p_abs[j::of])
             if j:
                 turns += float(np.sum(np.angle(p * prev.conj())))
             else:
                 first = p
             prev = p
-    if functional is Functional.STARLIKE:
+    if starlike:
         turns += float(np.sum(np.angle(np.roll(first, -1) * prev.conj())))
-    return low, rho * complex(_turn(k_low, m)), cert, p_low, round(turns / (2.0 * math.pi))
+    return low, rho * complex(_turn(k_low, m)), cert, p_abs, round(turns / (2.0 * math.pi))
 
 
 def _lattice(functional: Functional, rows: np.ndarray, grid: DiskGrid):
@@ -220,6 +267,42 @@ def _lattice(functional: Functional, rows: np.ndarray, grid: DiskGrid):
     z = grid.radii()[:, None] * np.exp(1j * grid.angles())[None, :]
     series = next(_fold_eval(rows, grid.radii(), grid.n_angles))
     return _values(functional, series, np.abs(z), lambda i: z.flat[i])[0], z
+
+
+def _arc_certificate(starlike: bool, bounds, cert, p_abs, err, err_all: float, bound: float, m: int):
+    """(lower bound, its dip term, f/z zero-free, the m the margins ask for):
+    each arc's lesser end sample less B h^2/8, h = 2 pi/m, B >= |g''| there
+    (Starlike: the product rule over f/z and f'), and |f/z| at it above its
+    error plus h B_1(f/z)."""
+    half, h = (m + 1) // 2, 2.0 * math.pi / m
+
+    def lesser_end(x):  # of each arc, then of it and its mirror arc
+        ends = np.minimum(x, np.roll(x, -1))
+        return np.minimum(ends[:half], ends[::-1][:half])
+
+    if starlike:
+        b0, b1, b2 = bounds
+        k2 = b2[1] * b0[0] + 2.0 * b1[1] * b1[0] + b0[1] * b2[0]
+    else:
+        k2 = bounds[0, 0]
+    ends, dips = lesser_end(cert), k2 * h * h / 8.0
+    j = int(np.argmin(ends - dips))
+    margin = ends - err_all - bound
+    need = math.pi * float(np.max(np.sqrt(k2 / (2.0 * margin)))) if np.all(margin > 0) else math.inf
+    zero_free = True
+    if starlike:
+        gap = lesser_end(p_abs) - err[0]
+        zero_free = bool(np.all(gap > h * b1[0]))
+        need = max(need, float(np.max(2.0 * math.pi * b1[0] / gap)) if np.all(gap > 0) else math.inf)
+    return float(ends[j] - dips[j]) - err_all, float(dips[j]), zero_free, need
+
+
+def _next_m(m: int, need: float, cap: int) -> int:
+    """The pass after m: m doubled until above need, at most cap."""
+    m *= 2
+    while m <= need and m < cap:
+        m *= 2
+    return m
 
 
 def verify_functional(functional: Functional | str, family: Union[SequenceBase, Family, str],
@@ -233,7 +316,8 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     rho, bound = grid.max_radius, FUNCTIONAL_BOUND[functional]
     starlike = functional is Functional.STARLIKE
     rows, tails, (terms, tail_bound) = _series(functional, as_sequence(family, p), rho)
-    m0, m1, m2 = _moments(rows, rho)
+    moments, pw = _moments(rows, rho)
+    m0, m1, m2 = moments
     err = tails + _ROUNDING * m0  # each row's sampled sum against the series
     if starlike:  # Re(D conj(P)), P = f/z and D = f' the two rows
         k2 = float(m2[1] * m0[0] + 2.0 * m1[1] * m1[0] + m0[1] * m2[0])
@@ -241,15 +325,31 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     else:
         k2, err_all = float(m2[0]), float(err[0])
 
-    m = grid.n_angles
+    m, poly = grid.n_angles, None
     cap = m * 2 ** int(math.log2(_MAX_POINTS / m))
     while True:
-        min_value, argmin, cert, p_low, winding = _circle_pass(functional, rows, rho, m)
+        min_value, argmin, certs, p_abs, winding = _circle_pass(functional, rows, rho, m)
+        cert, p_low = float(np.min(certs)), float(np.min(p_abs)) if starlike else math.inf
         disc = k2 * (math.pi / m) ** 2 / 2.0
         lower = cert - disc - err_all
         # Starlike: |f/z| > 0 on the circle, and no zero slips between samples
         zero_free = p_low - err[0] > 2.0 * math.pi * m1[0] / m
-        if min_value <= bound - DEFAULT_TOLERANCE:
+        violated = min_value <= bound - DEFAULT_TOLERANCE
+        if not (violated or zero_free and (winding != 0 or lower > bound)):
+            # the least m at which the measured margins would pass
+            margin, gap = cert - err_all - bound, p_low - err[0]
+            need = max(math.pi * math.sqrt(k2 / (2.0 * margin)) if margin > 0 else math.inf,
+                       2.0 * math.pi * m1[0] / gap if gap > 0 else math.inf)
+            if poly is not None or _next_m(m, need, cap) > rows.shape[1]:
+                # the next pass would exceed the N terms: bound each arc
+                if poly is None:  # Starlike needs B_0, B_1 and B_2, the others B_2
+                    orders = slice(None) if starlike else slice(2, None)
+                    poly = _arc_polynomials(rows, pw, moments, rho)[:, :, orders]
+                    glob = np.array(moments)[orders, :, None]
+                lower, disc, zero_free, arc_need = _arc_certificate(
+                    starlike, _arc_bounds(poly, glob, rho, m), certs, p_abs, err, err_all, bound, m)
+                need = min(need, arc_need)
+        if violated:
             status = DiskStatus.VIOLATED
         elif zero_free and winding != 0:
             status = DiskStatus.VIOLATED
@@ -260,13 +360,8 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
             status = DiskStatus.HOLDS
         elif m >= cap:
             status = DiskStatus.INCONCLUSIVE
-        else:  # the least m at which the measured margins would pass
-            margin, gap = cert - err_all - bound, p_low - err[0]
-            need = max(math.pi * math.sqrt(k2 / (2.0 * margin)) if margin > 0 else math.inf,
-                       2.0 * math.pi * m1[0] / gap if gap > 0 else math.inf)
-            m *= 2
-            while m <= need and m < cap:
-                m *= 2
+        else:
+            m = _next_m(m, need, cap)
             continue
         return DiskReport(functional, status, min_value, bound, argmin, grid, terms, tail_bound,
                           m, disc, lower, winding if starlike else None)

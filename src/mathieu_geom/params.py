@@ -54,7 +54,10 @@ class ConfigurationError(MathieuGeomError, ValueError):
 
 @dataclass(frozen=True)
 class ParamSet:
-    """The parameter pair (mu, r), both required to be finite and positive."""
+    """The parameter pair (mu, r), finite and positive, with r^2 finite and
+    (mu + 1)(1 + log(1 + r^2)) <= 2^53: log a_n is mu + 1 times a difference
+    of logs rounded to about 2^-53 (1 + log(1 + r^2)), so past that bound the
+    rounding alone moves log a_n by more than 1 and terms overflow."""
 
     mu: float
     r: float
@@ -65,6 +68,11 @@ class ParamSet:
                 raise ParameterDomainError(f"{name} must be > 0, got {value}")
             if value == math.inf:
                 raise ParameterDomainError(f"{name} must be finite, got {value}")
+        if self.r * self.r == math.inf:
+            raise ParameterDomainError(f"r must have a finite square, got {self.r}")
+        if not (self.mu + 1.0) * (1.0 + math.log1p(self.r * self.r)) <= 2.0**53:
+            raise ParameterDomainError(f"mu overflows the coefficient formula at r = {self.r}: "
+                                       f"(mu + 1)(1 + log(1 + r^2)) > 2^53, got {self.mu}")
 
 
 def comparison_slack(lhs, rhs):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,8 @@ from mathieu_geom.cli import (
     theorem_matrix,
 )
 from mathieu_geom.explorer import sweep
-from mathieu_geom.series import eval_S
+from mathieu_geom.params import ParamSet
+from mathieu_geom.series import CoefficientSeq, Family, FunctionSequence, eval_S
 from mathieu_geom.thresholds import MU_MIN, ThresholdKind, threshold
 
 
@@ -181,6 +183,24 @@ def test_non_finite_mu_or_r_exits_2(capsys, argv):
     assert out == "" and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["verify", "--criterion", "ozaki", "--family", "Q", "--mu", "1", "--r", "1e200"], "r"),
+    (["verify", "--criterion", "ozaki", "--family", "F", "--mu", "1", "--r", "1e200"], "r"),
+    (["coeffs", "--family", "Q", "--mu", "1", "--r", "1e200", "--n", "3"], "r"),
+    (["eval", "--family", "F", "--mu", "1", "--r", "1e160", "--z", "0.5"], "r"),
+    (["verify", "--functional", "starlike", "--family", "F", "--mu", "1", "--r", "1e200"], "r"),
+    (["coeffs", "--family", "F", "--mu", "1e308", "--r", "1e10", "--n", "3"], "mu"),
+    (["verify", "--functional", "deriv-halfplane", "--family", "Q", "--mu", "1e306",
+      "--r", "1e150"], "mu"),
+])
+def test_overflowing_mu_or_r_exits_2(capsys, argv, name):
+    # finite, but r^2 or (r^2 + 1)^(mu + 1) overflows: the coefficients were
+    # NaN, which the criteria verified and coeffs printed, with exit 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} ")
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--kinds", "F_Starlike,F_CloseToConvex", "--mu-grid", "1", "--tol", "nan"],
     ["eval", "--family", "F", "--mu", "1", "--r", "1", "--z", "0.5", "--tol", "nan"],
@@ -245,15 +265,32 @@ class TestVerify:
             assert data["m"] >= 64 and data["discretisation_bound"] > 0.0
         assert rep.winding is None  # only Starlike counts the winding of f/z
 
-    def test_inconclusive_functional_exits_3(self, capsys):
-        # above 1/2 by 6e-6, while the dip bound at 2^20 circle points is 1e-5
+    def test_functional_near_the_bound_holds(self, capsys):
+        # above 1/2 by 6e-6 at z = -0.999; the global dip bound was still 1e-5
+        # at 2^20 circle points, the per-arc one certifies it at a few thousand
         code, out, _ = run(capsys, "verify", "--functional", "deriv-halfplane",
                            "--family", "F", "--mu", "0.5", "--r", "0.84367",
                            "--max-radius", "0.999", "--format", "json")
         data = json.loads(out)
+        assert code == 0
+        assert data["status"] == "Holds" and data["m"] <= 4096
+        assert 0.5 < data["lower_bound"] < data["min_value"] < 0.5 + 1e-5
+        z = complex(data["argmin_re"], data["argmin_im"])
+        n = np.arange(1, 60_001)
+        a = CoefficientSeq(Family.F, ParamSet(0.5, 0.84367)).values_at(n)
+        assert data["min_value"] == pytest.approx(np.polyval((n * a)[::-1], z).real, rel=1e-9)
+
+    def test_inconclusive_functional_exits_3(self, capsys, monkeypatch):
+        # Re(f/z) = 1 + cos(theta)/2 on |z| = 0.9 touches 1/2 at z = -0.9, so
+        # no number of circle points proves it stays above
+        seq = FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, 1.0 / 1.8, 0.0)))
+        monkeypatch.setattr(cli, "_seq_from_flags", lambda args: seq)
+        code, out, _ = run(capsys, "verify", "--functional", "ratio-halfplane", "--family", "F",
+                           "--mu", "1", "--r", "1", "--max-radius", "0.9", "--format", "json")
+        data = json.loads(out)
         assert code == 3
         assert data["status"] == "Inconclusive" and data["m"] == 2**20
-        assert data["lower_bound"] < 0.5 < data["min_value"]
+        assert data["lower_bound"] < 0.5 and data["min_value"] == pytest.approx(0.5, abs=1e-12)
 
     def test_inequality(self, capsys):
         code, out, _ = run(capsys, "verify", "--inequality", "eq-frac-ineq",

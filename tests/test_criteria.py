@@ -79,6 +79,11 @@ class TestOzaki:
         with pytest.raises(NormalizationError):
             check_ozaki(FunctionSequence(lambda n: 2.0 / n))
 
+    def test_nan_first_coefficient_is_not_normalized(self):
+        # abs(nan - 1) > 1e-12 is False, which once let NaN coefficients verify
+        with pytest.raises(NormalizationError):
+            check_ozaki(FunctionSequence(lambda n: np.full(n.shape, np.nan)))
+
     def test_terms_validation(self):
         with pytest.raises(ParameterDomainError):
             check_ozaki(INV_N, 2)

@@ -16,7 +16,11 @@ from mathieu_geom.diskcheck import (
     DiskGrid,
     DiskStatus,
     Functional,
+    _arc_bounds,
+    _arc_certificate,
+    _arc_polynomials,
     _fold_eval,
+    _moments,
     _series,
     dump_grid_csv,
     verify_functional,
@@ -276,12 +280,16 @@ class TestCoefficientCap:
         seq = _geometric(-8e-5)
         rep = verify_functional(Functional.RATIO_HALFPLANE, seq, grid=self.GRID)
         # f(z)/z = 1/(1 - q z), whose real part stays above 1/2, here by
-        # 4.5e-5; the dip bound at 2^20 points is still about 1.5
-        assert rep.status is DiskStatus.INCONCLUSIVE
-        assert rep.m == _MAX_POINTS and rep.discretisation_bound > 1.0
-        assert 0.5 < rep.min_value < 0.5 + 1e-4
+        # 4.5e-5; the global dip bound at 2^20 points is still about 1.5, the
+        # per-arc one is 2e-11 on the arc of the least sample
+        q, rho = math.exp(-8e-5), self.GRID.max_radius
+        assert rep.status is DiskStatus.HOLDS and rep.terms == 212_736
+        assert rep.m == _MAX_POINTS and rep.discretisation_bound < 1e-10
+        assert 0.5 < rep.lower_bound <= 1.0 / (1.0 + q * rho) < 0.5 + 1e-4
         z = rep.argmin
-        assert rep.min_value == pytest.approx((1.0 / (1.0 - math.exp(-8e-5) * z)).real, rel=1e-9)
+        assert rep.min_value == pytest.approx((1.0 / (1.0 - q * z)).real, rel=1e-9)
+        theta = np.linspace(0.0, 2.0 * math.pi, 100_001)
+        assert (1.0 / (1.0 - q * rho * np.exp(1j * theta))).real.min() >= rep.lower_bound
 
     def test_tail_needing_more_than_the_cap_raises(self):
         with pytest.raises(TruncationError):
@@ -421,3 +429,100 @@ class TestPolishedLongSeries:
             n = np.arange(1, 80_001)
             direct = np.polyval((n * seq.values_at(n))[::-1], z).real
         assert rep.min_value == pytest.approx(direct, rel=1e-8)
+
+
+class TestArcBound:
+    # Inconclusive at 2^20 points under the one global dip bound
+    NEAR_KOEBE = [
+        (Functional.DERIV_HALFPLANE, 0.5, 0.84367, 0.999),
+        (Functional.STARLIKE, 0.5, 5.0, 0.995),
+        (Functional.STARLIKE, 1.0, 10.0, 0.995),
+        (Functional.STARLIKE, 1.0, 40.0, 0.995),
+        (Functional.STARLIKE, 5.0, 40.0, 0.995),
+    ]
+
+    @pytest.mark.parametrize("functional,mu,r,rho", NEAR_KOEBE)
+    def test_near_koebe_cases_hold(self, functional, mu, r, rho):
+        p = ParamSet(mu, r)
+        seq = CoefficientSeq(Family.F, p)
+        rep = verify_functional(functional, seq, grid=DiskGrid(64, 256, rho))
+        bound = FUNCTIONAL_BOUND[functional]
+        assert rep.status is DiskStatus.HOLDS and rep.m <= 4096
+        assert bound < rep.lower_bound < rep.min_value
+        # dense direct sums around the least sample and around theta = 0
+        h = 2.0 * math.pi / rep.m
+        theta = np.concatenate([np.angle(rep.argmin) + np.linspace(-4.0 * h, 4.0 * h, 101),
+                                np.linspace(-0.02, 0.02, 101)])
+        z = np.append(rho * np.exp(1j * theta), rep.argmin)
+        value, certified = _direct(functional, seq, z, _terms_for(p, rho))
+        if functional is not Functional.STARLIKE:
+            certified = value
+        assert rep.min_value == pytest.approx(value[-1], rel=1e-8)
+        assert value.min() > bound and certified.min() >= rep.lower_bound - 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from([Family.F, Family.Q]), functional=st.sampled_from(list(Functional)),
+           mu=st.floats(0.2, 3.0), r=st.floats(0.05, 3.0),
+           rho=st.one_of(st.floats(0.3, 0.999), st.just(0.999)),
+           m=st.integers(4, 1024), arc=st.floats(0.0, 1.0))
+    def test_arc_bounds_dominate_finite_differences(self, family, functional, mu, r, rho, m, arc):
+        # On [theta_j, theta_(j+1)], central differences of S at step delta
+        # are averages of S' and S'' over points of the arc, so B_1 and B_2
+        # bound them, and so does each k's Leibniz bound alone; the samples
+        # are within 1e-13 M_0 of S.  Arc m-1-j shares the bounds of arc j.
+        dense = 32
+        rows, _, _ = _series(functional, CoefficientSeq(family, ParamSet(mu, r)), rho)
+        moments, pw = _moments(rows, rho)
+        poly = _arc_polynomials(rows, pw, moments, rho)
+        bounds = _arc_bounds(poly, np.array(moments)[:, :, None], rho, m)
+        circle = next(_fold_eval(rows, [rho], dense * m))[:, 0]
+        delta, err = 2.0 * math.pi / (dense * m), 1e-13 * moments[0][:, None]
+        for j in (min(int(arc * m), m - 1), 1, m - 2):  # a random arc and the two next to theta = 0
+            s = circle[:, (dense * j + np.arange(dense + 1)) % (dense * m)]
+            measured = (np.abs(s).max(axis=1), np.abs(s[:, 2:] - s[:, :-2]).max(axis=1) / (2.0 * delta),
+                        np.abs(s[:, 2:] - 2.0 * s[:, 1:-1] + s[:, :-2]).max(axis=1) / delta**2)
+            d = np.abs(1.0 - rho * np.exp(2j * math.pi * np.array([j, j + 1]) / m)).min()
+            for i, (got, b) in enumerate(zip(measured, bounds)):
+                slack = (1.0, 1.0 / delta, 4.0 / delta**2)[i] * err[:, 0]
+                assert np.all(got <= b[:, min(j, m - 1 - j)] + slack)
+                for k, (a0, a1, a2) in enumerate(poly, 1):  # each k alone, at this arc's d
+                    alone = (a0[i, :, 0] + (a1[i, :, 0] + a2[i, :, 0] / d) / d) / d**k
+                    assert np.all(got <= alone + slack)
+    def test_lower_bound_takes_each_arc_at_its_lesser_end(self):
+        # m = 4 arcs: arcs 0 and 3 (which wraps round to sample 0) share the
+        # dip 1, arcs 1 and 2 the dip 0; arc 0 sets the bound at its lesser
+        # end, 0.5, less 1
+        h = 2.0 * math.pi / 4
+        bounds = np.array([[[8.0, 0.0]]]) / h**2
+        cert = np.array([2.0, 0.5, 2.0, 0.6])
+        assert _arc_certificate(False, bounds, cert, None, None, 0.0, 0.0, 4)[:3] == (-0.5, 1.0, True)
+
+    def test_bounds_are_local_away_from_one(self):
+        # at rho = 0.995 the global M_2 is set near z = 1; half a circle away
+        # the per-arc bound is more than 100 times below it
+        rows, _, _ = _series(Functional.DERIV_HALFPLANE, CoefficientSeq(Family.F, ParamSet(1.0, 1.0)), 0.995)
+        moments, pw = _moments(rows, 0.995)
+        b2 = _arc_bounds(_arc_polynomials(rows, pw, moments, 0.995)[:, :, 2:],
+                         moments[2][None, :, None], 0.995, 256)[0, 0]
+        assert b2.shape == (128,) and b2[0] == b2.max() and b2[-1] < 0.01 * b2[0]
+
+    # (functional, mu, r, rho, n_angles) -> m, min_value, lower_bound,
+    # discretisation_bound: decided at the first m, and escalated 128 -> 4096
+    # within the 7936 terms of its row
+    GLOBAL = [
+        ((Functional.RATIO_HALFPLANE, 1.0, 1.0, 0.995, 128),
+         (128, 0.7643144306927536, 0.7605068780848405, 0.0038075526077549116)),
+        ((Functional.DERIV_HALFPLANE, 0.4, 0.25, 0.995, 128),
+         (4096, 0.641166367485619, 0.6008064046269869, 0.040359962857680065)),
+    ]
+
+    @pytest.mark.parametrize("case,want", GLOBAL)
+    def test_passes_within_the_terms_keep_the_global_bound(self, case, want):
+        functional, mu, r, rho, n_angles = case
+        seq = CoefficientSeq(Family.F, ParamSet(mu, r))
+        rep = verify_functional(functional, seq, grid=DiskGrid(8, n_angles, rho))
+        assert rep.holds and rep.terms == {128: 3840, 4096: 7936}[rep.m]
+        assert (rep.m, rep.min_value, rep.lower_bound, rep.discretisation_bound) == want
+        rows, _, _ = _series(functional, seq, rho)
+        m2 = _moments(rows, rho)[0][2][0]
+        assert rep.discretisation_bound == m2 * (math.pi / rep.m) ** 2 / 2.0

@@ -115,6 +115,23 @@ class TestCoefficients:
         with pytest.raises(ParameterDomainError):
             ParamSet(mu, r)
 
+    @pytest.mark.parametrize("mu,r,name", [
+        (1.0, 1.4e154, "r"), (1.0, 1e200, "r"), (1e308, 1e10, "mu"), (1e306, 1e150, "mu"),
+        (1e300, 1e10, "mu"), (1e20, 1e-9, "mu"),
+    ])
+    def test_overflowing_params_are_a_domain_error(self, mu, r, name):
+        # r^2 is infinite, or the rounding of log a_n, (mu + 1) 2^-53 (1 +
+        # log(1 + r^2)), exceeds 1: at (1e300, 1e10) Q's a_2 overflowed
+        with pytest.raises(ParameterDomainError, match=f"^{name} "):
+            ParamSet(mu, r)
+
+    @pytest.mark.parametrize("family", [Family.F, Family.Q])
+    @pytest.mark.parametrize("mu,r", [(1.0, 1.3e154), (1e14, 1e10), (1e15, 1e-9)])
+    def test_largest_params_give_finite_coefficients(self, family, mu, r):
+        # finite, with log a_1 = 0 to within 1 (it is 1e-3 for F at r = 1e-9)
+        vals, logs = CoefficientSeq(family, ParamSet(mu, r)).read(50)
+        assert np.all(np.isfinite(vals)) and not np.any(np.isnan(logs)) and abs(logs[0]) < 1.0
+
     def test_prefix_keeps_negative_terms(self):
         seq = FunctionSequence(lambda n: np.where(n == 3, -0.25, 1.0 / n))
         rows = seq.prefix(4)

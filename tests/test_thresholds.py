@@ -596,10 +596,10 @@ class TestInequalityLedger:
         corners, total = 2**d, 2**d + 2 * d * n_face + samples
         whole = _rows(d, n_face, seed, 0, total)
         interior = corners + 2 * d * n_face  # first row past the faces
-        start = data.draw(st.one_of(
+        start = min(total, data.draw(st.one_of(  # a power of two can pass the end of a short run
             st.just(0), st.integers(0, total),
             st.sampled_from([2**j for j in range(12)] + [corners + 2**j for j in range(11)]),
-            st.integers(max(0, interior - 70), interior)))
+            st.integers(max(0, interior - 70), interior))))
         stop = data.draw(st.integers(start, min(total, start + 3000)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(thresholds, "_BLOCK", block)
