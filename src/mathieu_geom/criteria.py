@@ -9,8 +9,9 @@ Every condition is scanned per element with its own slack, 1e-12 *
 max(1, |lhs_n|, |rhs_n|): the monotone chains, Ozaki's end t_N >= 0 and
 cap t_n <= 2, and the half-plane positivity and convexity.  The slack
 keeps borderline sequences (e.g. a_n = 1/n, where the chains hold with
-equality) Verified rather than flipping on rounding noise.  Where both
-compared values underflow to 0, log magnitudes decide the order instead.
+equality) Verified rather than flipping on rounding noise.  It is the
+one rule: values below 1e-12, underflowed ones included, compare equal
+within it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .series import CoefficientSeq, Family, SequenceBase, prefix_arrays
 
 DEFAULT_TERMS = 200
 MIN_CHAIN_TERMS = 3  # least prefix of a chain criterion: a second difference needs a_1..a_3
-_UNDERFLOW = 1e-280
 
 
 class Criterion(str, enum.Enum):
@@ -75,46 +75,28 @@ class CriterionReport:
         return self.status is Status.VERIFIED
 
 
-def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool):
-    """(t, log t) for n <= N from one read of a normalized sequence: t_n =
-    n a_n if weighted, else a_n."""
+def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool) -> np.ndarray:
+    """t_n for n <= N from one read of a normalized sequence: t_n = n a_n
+    if weighted, else a_n."""
     if n_terms < least:
         raise ParameterDomainError(f"N must be >= {least}, got {n_terms}")
-    vals, logs = c.read(n_terms)
+    vals, _ = c.read(n_terms)
     if not abs(vals[0] - 1.0) <= 1e-12:  # NaN is not normalized either
         raise NormalizationError(f"sequence is not normalized: a_1 = {vals[0]}")
-    n, log_n = prefix_arrays(n_terms)
-    return (n * vals, logs + log_n) if weighted else (vals, logs)
+    return prefix_arrays(n_terms)[0] * vals if weighted else vals
 
 
-def _chain_scan(lhs, rhs, lhs_log: Optional[np.ndarray] = None,
-                rhs_log: Optional[np.ndarray] = None, first: int = 1):
+def _chain_scan(lhs, rhs, first: int = 1):
     """Scan lhs[k] >= rhs[k] for all k; return (min_margin, witness).
 
     Either side may be a scalar.  A chain on one sequence is scanned
     through shifted views of it: (v[:-1], v[1:]) for non-increasing,
     (v[1:], v[:-1]) for non-decreasing.  witness is the first of the
     worst slack-exceeding violations, or None; element k is index n =
-    first + k.  Where both sides are below the underflow threshold the
-    order of the log magnitudes decides (their linear margin is an
-    uninformative 0.0), and a violation there has margin -exp(rhs_log).
-    Only a negative margin can be a witness, so only those get a slack.
+    first + k.  Only a negative margin can be a witness, so only those
+    get a slack.
     """
     margin = lhs - rhs
-    under = None if lhs_log is None else (lhs < _UNDERFLOW) & (rhs < _UNDERFLOW)
-    if under is not None and under.any():
-        margin[under] = 0.0
-        hit = (under & (rhs_log > lhs_log + 1e-9)).nonzero()[0]
-        if hit.size:
-            # -exp decreases: a hit over 1 below the top rhs_log is not the least
-            # margin, and -0.0 stands in; under a top of -740 exp may round such
-            # hits alike, so all at or above -746 are exact (below, exp is 0)
-            logs = rhs_log[hit]
-            top = logs.max()
-            near = logs >= (top - 1.0 if top > -740.0 else -746.0)
-            margin[hit] = -0.0
-            margin[hit[near]] = [-math.exp(x) for x in logs[near].tolist()]
-
     # min_margin as a running min() would give it: NaNs never win, and
     # of equal minima (0.0 and -0.0) the first one is kept, as by argmin
     min_margin = float(margin[margin.argmin()])
@@ -125,10 +107,7 @@ def _chain_scan(lhs, rhs, lhs_log: Optional[np.ndarray] = None,
         return min_margin, None
     neg = (margin < 0.0).nonzero()[0]
     lhs_neg, rhs_neg = (side[neg] if np.ndim(side) else side for side in (lhs, rhs))
-    violated = margin[neg] < -comparison_slack(lhs_neg, rhs_neg)
-    if under is not None:
-        violated |= under[neg]  # a negative underflowed margin broke the log order
-    worst = neg[violated]
+    worst = neg[margin[neg] < -comparison_slack(lhs_neg, rhs_neg)]
     if not worst.size:
         return min_margin, None
     k = int(worst[margin[worst].argmin()])
@@ -153,16 +132,16 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
     A Verified report names the branch in ``detail``; a Falsified one
     carries the decreasing branch's witness.
     """
-    t, logs = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)  # t_1 = 1 by normalization
+    t = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)  # t_1 = 1 by normalization
 
     # decreasing branch: t non-increasing and t_N >= 0
-    dec = [_chain_scan(t[:-1], t[1:], logs[:-1], logs[1:]),
+    dec = [_chain_scan(t[:-1], t[1:]),
            _chain_scan(t[-1:], 0.0, first=n_terms)]
     report = _report(Criterion.OZAKI_DECREASING, n_terms, dec, "decreasing branch")
     if report.ok:
         return report
     # increasing branch: t non-decreasing and t_n <= 2
-    inc = [_chain_scan(t[1:], t[:-1], logs[1:], logs[:-1]), _chain_scan(2.0, t)]
+    inc = [_chain_scan(t[1:], t[:-1]), _chain_scan(2.0, t)]
     report = _report(Criterion.OZAKI_INCREASING, n_terms, inc, "increasing branch")
     if report.ok:
         return report
@@ -172,9 +151,9 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
 def check_fejer_starlike(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Fejer starlikeness: {n a_n} and {n a_n - (n+1) a_{n+1}} both
     non-increasing."""
-    t, logs = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)
+    t = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)
     d = t[:-1] - t[1:]
-    scans = [_chain_scan(t[:-1], t[1:], logs[:-1], logs[1:]), _chain_scan(d[:-1], d[1:])]
+    scans = [_chain_scan(t[:-1], t[1:]), _chain_scan(d[:-1], d[1:])]
     (_, w1), (_, w2) = scans
     detail = "first chain" if w1 else "difference chain" if w2 else ""
     return _report(Criterion.FEJER_STARLIKE, n_terms, scans, detail)
@@ -188,16 +167,17 @@ def check_fejer_halfplane(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS,
     With index_weighted=True the check applies to {n a_n} (the
     derivative-series coefficients) instead of {a_n}.
     """
-    v, logs = _prefix(c, n_terms, MIN_CHAIN_TERMS, index_weighted)
+    v = _prefix(c, n_terms, MIN_CHAIN_TERMS, index_weighted)
     return _report(Criterion.FEJER_HALFPLANE, n_terms, [
         _chain_scan(v, 0.0),
-        _chain_scan(v[:-1], v[1:], logs[:-1], logs[1:]),
+        _chain_scan(v[:-1], v[1:]),
         _chain_scan(v[:-2] + v[2:], 2.0 * v[1:-1]),
     ])
 
 
 def _goodman_tail(c: CoefficientSeq, n_terms: int, weighted: np.ndarray):
-    """Rigorous majorant for sum_{n > N} n a_n, or None if unavailable."""
+    """Rigorous majorant for sum_{n > N} n |a_n|, or None if unavailable;
+    weighted holds n |a_n| for n <= N."""
     big_n = float(n_terms)
     if c.family is Family.SHAT:
         # sum_{n>N} 8n/(n^2+1)^3 <= int_N^inf 8x/(x^2+1)^3 dx
@@ -209,7 +189,7 @@ def _goodman_tail(c: CoefficientSeq, n_terms: int, weighted: np.ndarray):
         log_dfact = math.lgamma(2 * n_terms + 2) - (n_terms * math.log(2.0) + math.lgamma(n_terms + 1))
         return 2.0 * math.exp(-log_dfact), "telescoping"
     # generic: geometric ratio bound from the tip, valid when the tip
-    # ratios of {n a_n} are below 1 and non-increasing
+    # ratios of {n |a_n|} are below 1 and non-increasing
     k = min(6, len(weighted) - 1)
     tip = weighted[-(k + 1):]
     if np.any(tip <= 0.0):
@@ -222,12 +202,12 @@ def _goodman_tail(c: CoefficientSeq, n_terms: int, weighted: np.ndarray):
 
 
 def check_goodman(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
-    """Goodman sum criterion: sum_{n>=2} n a_n < 1 implies starlikeness.
+    """Goodman sum criterion: sum_{n>=2} n |a_n| <= 1 implies starlikeness.
 
     The partial sum over n <= N is completed with a family-specific
     rigorous tail majorant; without one the result is Inconclusive.
     """
-    weighted, _ = _prefix(c, n_terms, 2, weighted=True)
+    weighted = np.abs(_prefix(c, n_terms, 2, weighted=True))
     partial = float(np.sum(weighted[1:]))
 
     if partial >= 1.0:

@@ -92,10 +92,10 @@ _PARTS = {Family.F: (lambda n: (np.log(n), np.square(n, dtype=float)), _log_coef
 
 @functools.lru_cache(maxsize=8)  # a sweep's 500 terms, the CLI's 200 and a few more
 def prefix_arrays(n_terms: int, family: Optional[Family] = None) -> tuple[np.ndarray, ...]:
-    """(1..N, log n), or with a family the (mu, r)-free parts of its log a_n
-    at n = 1..N: read-only and built once per N, for every prefix read."""
+    """(1..N,), or with a family the (mu, r)-free parts of its log a_n at
+    n = 1..N: read-only and built once per N, for every prefix read."""
     n = prefix_arrays(n_terms)[0] if family else np.arange(1, n_terms + 1)
-    arrays = _PARTS[family][0](n) if family else (n, np.log(n))
+    arrays = _PARTS[family][0](n) if family else (n,)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -234,10 +234,10 @@ def truncated_coeffs(
 
     Terms come in whole blocks of 256, doubling up to 16384.  The cut is
     at the first block end N whose block is non-increasing and continues
-    the previous block, and where the geometric majorant c_N rho^N /
-    (1 - rho) of the tail is below tol.  Returns (coefficients, that
-    majorant).  Raises TruncationError if no block end up to the first
-    one at or past n_max qualifies.
+    the previous block, where c_N >= 0, and where the geometric majorant
+    c_N rho^N / (1 - rho) of the tail is below tol.  Returns (coefficients,
+    that majorant).  Raises TruncationError if no block end up to the
+    first one at or past n_max qualifies.
     """
     n_done = 0
     block = 256
@@ -250,9 +250,9 @@ def truncated_coeffs(
             vals = idx * vals
         chunks.append(vals)
         n_done += block
-        monotone = bool(np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last)
+        qualifies = bool(np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last and vals[-1] >= 0.0)
         prev_last = float(vals[-1])
-        bound = prev_last * rho**n_done / (1.0 - rho) if monotone else math.inf
+        bound = prev_last * rho**n_done / (1.0 - rho) if qualifies else math.inf
         if bound < tol:
             return np.concatenate(chunks), bound
         block = min(2 * block, 16384)
@@ -265,11 +265,11 @@ def eval_series(c: SequenceBase, z: complex, tol: float = DEFAULT_TOL) -> EvalRe
 
     The terms are those of ``truncated_coeffs`` at rho = |z|, called with
     tol/rho: the sum stops at the first block end N whose block is
-    non-increasing and continues the previous one, and where the
-    geometric majorant a_N rho^(N+1) / (1-rho) of the tail, reported as
-    ``tail_bound``, is below tol.  Raises TruncationError if no such N
-    lies within N_MAX terms, rounded up to a block end; that includes
-    every sequence whose tail never turns non-increasing.
+    non-increasing and continues the previous one, where a_N >= 0, and
+    where the geometric majorant a_N rho^(N+1) / (1-rho) of the tail,
+    reported as ``tail_bound``, is below tol.  Raises TruncationError if
+    no such N lies within N_MAX terms, rounded up to a block end; that
+    includes every sequence whose tail never turns non-increasing.
     """
     if not tol > 0:  # also NaN
         raise ParameterDomainError(f"tol must be > 0, got {tol}")

@@ -75,6 +75,14 @@ class TestOzaki:
         assert rep.status is Status.VERIFIED
         assert rep.detail == "increasing branch"
 
+    def test_negative_coefficients_break_the_chain(self):
+        # a = (1, -2, -1, 0, ...): 2 a_2 = -4 < 3 a_3 = -3 breaks the
+        # decreasing chain and 2 a_2 < a_1 the increasing one
+        a = np.array([1.0, -2.0, -1.0] + [0.0] * 10)
+        rep = check_ozaki(FunctionSequence(lambda n: a[n.astype(int) - 1]), len(a))
+        assert rep.status is Status.FALSIFIED
+        assert rep.detail == "both branches violated"
+
     def test_normalization_required(self):
         with pytest.raises(NormalizationError):
             check_ozaki(FunctionSequence(lambda n: 2.0 / n))
@@ -145,8 +153,9 @@ class TestFejerHalfPlane:
         assert rep.witness.margin < -comparison_slack(rep.witness.lhs, rep.witness.rhs)
 
     def test_q_large_n_underflow_handled(self):
-        # beyond n ~ 25 the Q coefficients underflow to 0.0; the
-        # log-domain comparison must still certify monotonicity
+        # from n = 51 on the Q coefficients underflow to 0.0; equal or
+        # subnormal neighbours meet each chain within the slack, so
+        # monotonicity is still certified
         rep = check_fejer_halfplane(seq_Q(2.0, 1.0), 500)
         assert rep.status is Status.VERIFIED
 
@@ -181,6 +190,16 @@ class TestGoodman:
     def test_falsified_when_sum_exceeds_one(self):
         rep = check_goodman(FunctionSequence(lambda n: np.where(n <= 2, 1.0, 0.0)))
         assert rep.status is Status.FALSIFIED
+
+    def test_sum_of_moduli(self):
+        # a = (1, -0.9, -0.9, 0, ...): the signed sum 2 a_2 + 3 a_3 = -4.5 is
+        # below 1, the criterion's sum of n |a_n| = 4.5 is not, and f'(z) =
+        # 1 - 1.8 z - 2.7 z^2 vanishes at z = 0.361 inside the disk
+        a = np.array([1.0, -0.9, -0.9] + [0.0] * 10)
+        rep = check_goodman(FunctionSequence(lambda n: a[n.astype(int) - 1]), len(a))
+        assert rep.status is Status.FALSIFIED
+        assert rep.witness == Witness(len(a), 4.5, 1.0)
+        assert np.polyval([-2.7, -1.8, 1.0], 0.361) == pytest.approx(0.0, abs=1e-2)
 
 
 @pytest.mark.parametrize("read", [*CRITERIA.values(), lambda c, n: c.prefix(n)],
@@ -262,58 +281,41 @@ class TestSlackAndBernoulli:
 
 
 # The two per-orientation chain loops that _chain_scan replaced, kept
-# verbatim as oracles.
-_UNDERFLOW = 1e-280
-
-
-def _chain_nonincreasing(vals, logs=None):
+# as oracles over values.
+def _chain_nonincreasing(vals):
     min_margin = math.inf
     witness = None
     worst = 0.0
     for k in range(len(vals) - 1):
         lhs, rhs = float(vals[k]), float(vals[k + 1])
         margin = lhs - rhs
-        violated = margin < -comparison_slack(lhs, rhs)
-        if logs is not None and lhs < _UNDERFLOW and rhs < _UNDERFLOW:
-            # both underflowed: order by log magnitude
-            violated = logs[k + 1] > logs[k] + 1e-9
-            margin = 0.0 if not violated else -math.exp(logs[k + 1])
         min_margin = min(min_margin, margin)
-        if violated and margin < worst:
+        if margin < -comparison_slack(lhs, rhs) and margin < worst:
             worst = margin
             witness = Witness(k + 1, lhs, rhs)
     return min_margin, witness
 
 
-def _chain_nondecreasing(vals, logs=None):
+def _chain_nondecreasing(vals):
     min_margin = math.inf
     witness = None
     worst = 0.0
     for k in range(len(vals) - 1):
         lhs, rhs = float(vals[k + 1]), float(vals[k])
         margin = lhs - rhs
-        violated = margin < -comparison_slack(lhs, rhs)
-        if logs is not None and lhs < _UNDERFLOW and rhs < _UNDERFLOW:
-            violated = logs[k] > logs[k + 1] + 1e-9
-            margin = 0.0 if not violated else -math.exp(logs[k])
         min_margin = min(min_margin, margin)
-        if violated and margin < worst:
+        if margin < -comparison_slack(lhs, rhs) and margin < worst:
             worst = margin
             witness = Witness(k + 1, lhs, rhs)
     return min_margin, witness
 
 
-# Few distinct values so that ties are common, values below the underflow
-# threshold (subnormals and 0 too), inf (whose margins are NaN) and logs
-# that exp() underflows (< -745).
+# Few distinct values so that ties are common, values far below the slack
+# (subnormals and 0 too) and inf (whose margins are NaN).
 _VALUES = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-13, 1.0 - 1e-13, 2.0, 1e-290, 1e-300, math.inf]),
     st.floats(-3.0, 3.0),
     st.floats(0.0, 1e-279, allow_subnormal=True),
-)
-_LOGS = st.one_of(
-    st.sampled_from([-800.0, -745.5, -745.0, -700.0, -644.0, 0.0]),
-    st.floats(-1000.0, 10.0),
 )
 
 
@@ -321,57 +323,17 @@ class TestChainScan:
     # inf - inf in the margins warns; the loops ignored those NaNs silently
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=400)
-    @given(vals=st.lists(_VALUES, min_size=2, max_size=30), data=st.data(),
-           with_logs=st.booleans())
-    def test_matches_per_orientation_loops(self, vals, data, with_logs):
+    @given(vals=st.lists(_VALUES, min_size=2, max_size=30))
+    def test_matches_per_orientation_loops(self, vals):
         v = np.array(vals)
-        logs = None
-        if with_logs:
-            logs = np.array(data.draw(st.lists(_LOGS, min_size=len(v), max_size=len(v))))
-        dec_logs = () if logs is None else (logs[:-1], logs[1:])
-        inc_logs = () if logs is None else (logs[1:], logs[:-1])
         # repr: exact floats, and 0.0 is told apart from -0.0
-        assert repr(_chain_scan(v[:-1], v[1:], *dec_logs)) == repr(_chain_nonincreasing(v, logs))
-        assert repr(_chain_scan(v[1:], v[:-1], *inc_logs)) == repr(_chain_nondecreasing(v, logs))
-
-    def test_underflowed_log_margin_gives_no_witness(self):
-        # both sides underflowed and the chain is broken in the logs, but
-        # -exp(-800) is -0.0: the margin records it, no witness is named
-        v = np.array([0.0, 0.0])
-        margin, witness = _chain_scan(v[:-1], v[1:], np.array([-900.0]), np.array([-800.0]))
-        assert witness is None and repr(margin) == "-0.0"
+        assert repr(_chain_scan(v[:-1], v[1:])) == repr(_chain_nonincreasing(v))
+        assert repr(_chain_scan(v[1:], v[:-1])) == repr(_chain_nondecreasing(v))
 
     def test_first_of_equal_worst_violations(self):
         v = np.array([1.0, 2.0, 1.0, 2.0])
         margin, witness = _chain_scan(v[:-1], v[1:])
         assert margin == -1.0 and witness == Witness(1, 1.0, 2.0)
-
-    # every pair underflowed, logs across the subnormal edge of exp, mostly
-    # below -740: exp gives the least subnormal from -745.13 to -744.1 and 0
-    # below, so many hits tie; an occasional log up to -700 breaks the ties
-    @settings(max_examples=300)
-    @given(logs=st.lists(st.one_of(st.sampled_from([-750.0, -746.0, -745.2, -745.12, -745.0,
-                                                    -744.6, -744.1, -744.0, -740.0, -739.5]),
-                                   st.floats(-750.0, -738.0)), min_size=2, max_size=40),
-           top=st.sampled_from([None, -700.0]), data=st.data())
-    def test_underflowed_hits_match_loops(self, logs, top, data):
-        logs = np.array(logs if top is None else [*logs, top])
-        v = np.array(data.draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-300, 1e-281]),
-                                        min_size=len(logs), max_size=len(logs))))
-        assert repr(_chain_scan(v[:-1], v[1:], logs[:-1], logs[1:])) == \
-            repr(_chain_nonincreasing(v, logs))
-        assert repr(_chain_scan(v[1:], v[:-1], logs[1:], logs[:-1])) == \
-            repr(_chain_nondecreasing(v, logs))
-
-    def test_tied_subnormal_hits_keep_the_first(self):
-        # the non-decreasing chain breaks at n = 1, 3 and 5 with margins
-        # -exp(-745.12), -exp(-744.1) and -exp(-760): the first two are both
-        # the least subnormal although 1.02 apart, so n = 1 is the witness
-        logs = np.array([-745.12, -770.0, -744.1, -780.0, -760.0, -790.0])
-        v = np.zeros(len(logs))
-        got = _chain_scan(v[1:], v[:-1], logs[1:], logs[:-1])
-        assert repr(got) == repr(_chain_nondecreasing(v, logs))
-        assert got == (-5e-324, Witness(1, 0.0, 0.0))
 
 
 def _scan_loop(pairs, first=1):
@@ -394,11 +356,10 @@ def _combined(scans):
     return status, witness, min(m for m, _ in scans)
 
 
-def _ozaki_loop(a, logs):
-    n = np.arange(1, len(a) + 1)
-    t, tlogs = [float(x) for x in n * a], logs + np.log(n)
-    dec = [_chain_nonincreasing(t, tlogs), _scan_loop([(t[-1], 0.0)], first=len(t))]
-    inc = [_chain_nondecreasing(t, tlogs), _scan_loop([(2.0, x) for x in t])]
+def _ozaki_loop(a):
+    t = [float(x) for x in np.arange(1, len(a) + 1) * a]
+    dec = [_chain_nonincreasing(t), _scan_loop([(t[-1], 0.0)], first=len(t))]
+    inc = [_chain_nondecreasing(t), _scan_loop([(2.0, x) for x in t])]
     if _combined(dec)[0] is Status.VERIFIED:
         return (*_combined(dec), "decreasing branch")
     if _combined(inc)[0] is Status.VERIFIED:
@@ -406,27 +367,37 @@ def _ozaki_loop(a, logs):
     return (*_combined(dec + inc), "both branches violated")
 
 
-def _starlike_loop(a, logs):
-    n = np.arange(1, len(a) + 1)
-    t, tlogs = [float(x) for x in n * a], logs + np.log(n)
+def _starlike_loop(a):
+    t = [float(x) for x in np.arange(1, len(a) + 1) * a]
     d = [t[k] - t[k + 1] for k in range(len(t) - 1)]
-    scans = [_chain_nonincreasing(t, tlogs), _chain_nonincreasing(d)]
+    scans = [_chain_nonincreasing(t), _chain_nonincreasing(d)]
     names = ["first chain", "difference chain"]
     detail = next((name for name, (_, w) in zip(names, scans) if w), "")
     return (*_combined(scans), detail)
 
 
-def _halfplane_loop(a, logs, weighted=False):
+def _halfplane_loop(a, weighted=False):
     if weighted:
-        n = np.arange(1, len(a) + 1)
-        a, logs = n * a, logs + np.log(n)
+        a = np.arange(1, len(a) + 1) * a
     v = [float(x) for x in a]
     scans = [
         _scan_loop([(x, 0.0) for x in v]),
-        _chain_nonincreasing(v, logs),
+        _chain_nonincreasing(v),
         _scan_loop([(v[k] + v[k + 2], 2.0 * v[k + 1]) for k in range(len(v) - 2)]),
     ]
     return (*_combined(scans), "")
+
+
+def _reports_and_loops(seq, big_n):
+    """Each chain criterion's report on seq's first big_n terms, paired
+    with what the per-n loops give on the same values."""
+    a, _ = seq.read(big_n)
+    return [
+        (check_ozaki(seq, big_n), _ozaki_loop(a)),
+        (check_fejer_starlike(seq, big_n), _starlike_loop(a)),
+        (check_fejer_halfplane(seq, big_n), _halfplane_loop(a)),
+        (check_fejer_halfplane(seq, big_n, index_weighted=True), _halfplane_loop(a, weighted=True)),
+    ]
 
 
 # perturbations around the slack of 1e-12, mostly 0 so that a few stand
@@ -453,37 +424,34 @@ class TestOneScanRule:
         a = (1.0 + s / 4.0) / np.arange(1, len(s) + 1) if per_n else 1.0 - s
         a[1:] += nudges
         seq = FunctionSequence(lambda n: a[n.astype(int) - 1])
-        big_n = len(a)
-        with np.errstate(invalid="ignore"):
-            logs = np.log(a)
-        cases = [
-            (check_ozaki(seq, big_n), _ozaki_loop(a, logs)),
-            (check_fejer_starlike(seq, big_n), _starlike_loop(a, logs)),
-            (check_fejer_halfplane(seq, big_n), _halfplane_loop(a, logs)),
-            (check_fejer_halfplane(seq, big_n, index_weighted=True),
-             _halfplane_loop(a, logs, weighted=True)),
-        ]
-        for rep, (status, witness, min_margin, detail) in cases:
+        for rep, (status, witness, min_margin, detail) in _reports_and_loops(seq, len(a)):
             assert (rep.status, rep.witness, rep.detail) == (status, witness, detail)
             assert rep.min_margin == pytest.approx(min_margin, abs=1e-14)
 
 
+# far below the slack: a chain there holds within it whatever the order
+_UNDERFLOW = 1e-280
+
+
 @pytest.mark.parametrize("mu,r", [(0.5, 1.0), (0.5, 3.0), (2.0, 1.0), (2.0, 3.0)])
 def test_underflowing_Q_prefix_matches_per_n_loops(mu, r):
-    # C_n is below 1e-280 from n = 92 (mu = 0.5) or 46 (mu = 2) on, so the
-    # chains there are decided by the log order, and Ozaki's increasing branch
-    # meets one underflowed violation per element
+    # C_n is below 1e-280 from n = 92 (mu = 0.5) or 46 (mu = 2) on, and 0.0
+    # from n = 103 or 51: the chains there compare values like any others
     seq = seq_Q(mu, r)
-    a, logs = seq.read(500)
-    assert np.count_nonzero(a < criteria._UNDERFLOW) > 300
-    cases = [
-        (check_ozaki(seq, 500), _ozaki_loop(a, logs)),
-        (check_fejer_starlike(seq, 500), _starlike_loop(a, logs)),
-        (check_fejer_halfplane(seq, 500), _halfplane_loop(a, logs)),
-        (check_fejer_halfplane(seq, 500, index_weighted=True),
-         _halfplane_loop(a, logs, weighted=True)),
-    ]
-    for rep, (status, witness, min_margin, detail) in cases:
+    a, _ = seq.read(500)
+    assert np.count_nonzero(a < _UNDERFLOW) > 300
+    for rep, (status, witness, min_margin, detail) in _reports_and_loops(seq, 500):
+        assert (rep.status, rep.witness, rep.detail) == (status, witness, detail)
+        assert repr(rep.min_margin) == repr(min_margin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from([Family.F, Family.Q]), mu=st.floats(0.1, 100.0),
+       r=st.floats(0.05, 60.0), big_n=st.one_of(st.integers(3, 2000), st.just(2000)))
+def test_drawn_family_prefix_matches_per_n_loops(family, mu, r, big_n):
+    # F at large mu and Q at most (mu, r) fall below 1e-280 within the prefix
+    seq = CoefficientSeq(family, ParamSet(mu, r))
+    for rep, (status, witness, min_margin, detail) in _reports_and_loops(seq, big_n):
         assert (rep.status, rep.witness, rep.detail) == (status, witness, detail)
         assert repr(rep.min_margin) == repr(min_margin)
 

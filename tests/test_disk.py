@@ -295,6 +295,15 @@ class TestCoefficientCap:
         with pytest.raises(TruncationError):
             verify_functional(Functional.RATIO_HALFPLANE, _geometric(-6e-5), grid=self.GRID)
 
+    def test_negative_tail_is_no_bound(self):
+        # a_n = -6e-5 n past a_1 = 1: Re f(z)/z at z = 0.99 is 0.400, below
+        # 1/2, which a negative tail majorant once turned into Holds
+        seq = FunctionSequence(lambda n: np.where(n == 1, 1.0, -6e-5 * n))
+        z = 0.99
+        assert 1.0 - 6e-5 * z * (2.0 - z) / (1.0 - z) ** 2 == pytest.approx(0.400, abs=1e-3)
+        with pytest.raises(TruncationError):
+            verify_functional(Functional.RATIO_HALFPLANE, seq, grid=DiskGrid(4, 256, 0.99))
+
 
 class TestSeriesBudget:
     def test_identity_needs_one_block(self):

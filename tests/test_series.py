@@ -202,6 +202,12 @@ class TestEvalSeries:
         with pytest.raises(TruncationError):
             eval_series(seq, 0.5)
 
+    def test_negative_tail_is_no_bound(self):
+        # a_n = -n decreases, but c_N rho^N / (1 - rho) < 0 bounds nothing:
+        # the cut would give -7210 with tail_bound -1934 for -0.99/0.01^2 = -9900
+        with pytest.raises(TruncationError):
+            eval_series(FunctionSequence(lambda n: -n), 0.99)
+
     def test_term_cap_is_the_first_block_end_past_N_MAX(self):
         # blocks of 256, 512, ..., 16384, 16384, ...: 10^6 is no block end,
         # and the last block is read whole, up to 1,015,552
