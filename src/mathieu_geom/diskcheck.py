@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .params import ConfigurationError, DegeneratePointError, ParamSet
+from .params import ConfigurationError, DegeneratePointError, ParamSet, count
 from .series import CoefficientSeq, Family, SequenceBase, truncated_coeffs
 
 DEFAULT_TOLERANCE = 1e-9
@@ -72,8 +72,9 @@ class DiskGrid:
     max_radius: float = 0.995
 
     def __post_init__(self):
-        if self.n_radii < 1 or not 4 <= self.n_angles <= _MAX_POINTS:
-            raise ConfigurationError(f"grid must have >= 1 radii and 4 to {_MAX_POINTS} angles")
+        count("n_radii", self.n_radii, 1)
+        if count("n_angles", self.n_angles, 4) > _MAX_POINTS:
+            raise ConfigurationError(f"n_angles must be at most {_MAX_POINTS}, got {self.n_angles}")
         if not (0.0 < self.max_radius < 1.0):
             raise ConfigurationError(f"max_radius must be in (0,1), got {self.max_radius}")
 
@@ -93,8 +94,8 @@ class DiskReport:
     bound: float
     argmin: complex
     grid: DiskGrid
-    terms: int          # longest coefficient array used
-    tail_bound: float   # largest tail majorant of the series cuts used
+    terms: int          # coefficients a_1..a_N of the check's one series cut
+    tail_bound: float   # that cut's tail majorant, by its rule (see _series)
     m: int              # circle points of the deciding pass
     discretisation_bound: float  # K pi^2 / (2 m^2); per arc, that of the arc setting lower_bound
     lower_bound: float  # least certified sample minus both error terms
@@ -106,6 +107,8 @@ class DiskReport:
 
 
 def as_sequence(family: Union[SequenceBase, Family, str], p: Optional[ParamSet] = None) -> SequenceBase:
+    if isinstance(family, SequenceBase) and p is not None:
+        raise ConfigurationError("a coefficient sequence carries its own parameters; got p too")
     return family if isinstance(family, SequenceBase) else CoefficientSeq(family, p)
 
 
@@ -144,21 +147,20 @@ def _fold_eval(coeffs: np.ndarray, radii, m: int, of: int = 1):
 
 
 def _series(functional: Functional, seq: SequenceBase, rho: float):
-    """Coefficient rows c_n of the series sum c_n z^(n-1) the functional is
-    built from: f/z and f' (Starlike), (1-z) f' (CloseToConvex, c_n =
-    n a_n - (n-1) a_(n-1)), or f/z or f' alone.  Returns (rows, tail bound
-    of each row at |z| = rho, (longest cut, largest tail majorant))."""
-    weighted = ((False, True) if functional is Functional.STARLIKE
-                else (functional is not Functional.RATIO_HALFPLANE,))
-    cuts = [truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, w) for w in weighted]
-    budget = (max(len(c) for c, _ in cuts), max(tail for _, tail in cuts))
-    if functional is Functional.CLOSE_TO_CONVEX:
-        (d, tail), = cuts
-        cuts = [(np.diff(d, prepend=0.0, append=0.0), (1.0 + rho) * tail)]
-    rows = np.zeros((len(cuts), max(len(c) for c, _ in cuts)))
-    for row, (c, _) in zip(rows, cuts):
-        row[:len(c)] = c
-    return rows, np.array([tail for _, tail in cuts]), budget
+    """Rows c_n of the series sum c_n z^(n-1) the functional is built from,
+    all from one cut of a_n, by the rule for n a_n but in RatioHalfPlane:
+    f/z (a_n) and f' (n a_n) for Starlike, (1-z) f' (n a_n - (n-1) a_(n-1))
+    for CloseToConvex, else one of f/z, f'.  Returns (rows, the tail bound
+    of each row at |z| = rho, (terms, tail majorant) of the cut)."""
+    ratio = functional is Functional.RATIO_HALFPLANE
+    a, tail = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, not ratio)
+    c = a if ratio else np.arange(1, len(a) + 1) * a
+    rows, tails = [c], [tail]
+    if functional is Functional.STARLIKE:
+        rows, tails = [a, c], [a[-1] * rho**len(a) / (1.0 - rho), tail]
+    elif functional is Functional.CLOSE_TO_CONVEX:
+        rows, tails = [np.diff(c, prepend=0.0, append=0.0)], [(1.0 + rho) * tail]
+    return np.array(rows), np.array(tails), (len(a), tail)
 
 
 def _moments(rows: np.ndarray, rho: float):
@@ -311,8 +313,7 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     |z| <= grid.max_radius from its boundary circle, sampled first at
     grid.n_angles points (see the module docstring).  A Starlike winding
     number other than 0 is Violated, reported at the least lattice value."""
-    functional = Functional(functional)
-    grid = grid or DiskGrid()
+    functional, grid = Functional(functional), grid or DiskGrid()
     rho, bound = grid.max_radius, FUNCTIONAL_BOUND[functional]
     starlike = functional is Functional.STARLIKE
     rows, tails, (terms, tail_bound) = _series(functional, as_sequence(family, p), rho)
@@ -370,10 +371,9 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
 def dump_grid_csv(functional: Functional | str, family, p, grid, path) -> None:
     """Write the functional on the interior lattice as CSV (radius, angle,
     re_functional)."""
-    functional = Functional(functional)
-    seq = as_sequence(family, p)
-    grid = grid or DiskGrid()
-    vals, _ = _lattice(functional, _series(functional, seq, grid.max_radius)[0], grid)
+    functional, grid = Functional(functional), grid or DiskGrid()
+    rows = _series(functional, as_sequence(family, p), grid.max_radius)[0]
+    vals, _ = _lattice(functional, rows, grid)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["radius", "angle", "re_functional"])

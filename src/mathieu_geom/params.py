@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,3 +83,10 @@ def comparison_slack(lhs, rhs):
     >= -slack where slack = 1e-12 * max(1, |lhs|, |rhs|).
     """
     return 1e-12 * np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+
+
+def count(name: str, value, least: int) -> int:
+    """value as an int, if it is an integer >= least; else ConfigurationError."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

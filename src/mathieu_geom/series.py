@@ -229,15 +229,17 @@ def truncated_coeffs(
     n_max: int,
     index_weighted: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """Coefficients c_1..c_N of sum c_n z^(n-1) (c_n = a_n, or n a_n when
-    index_weighted), cut so the tail at |z| = rho is below tol.
+    """a_1..a_N, cut so the tail of sum c_n z^(n-1) at |z| = rho is below
+    tol, where c_n = a_n, or n a_n when index_weighted.
 
     Terms come in whole blocks of 256, doubling up to 16384.  The cut is
-    at the first block end N whose block is non-increasing and continues
+    at the first block end N whose block of c_n is non-increasing and continues
     the previous block, where c_N >= 0, and where the geometric majorant
-    c_N rho^N / (1 - rho) of the tail is below tol.  Returns (coefficients,
-    that majorant).  Raises TruncationError if no block end up to the
-    first one at or past n_max qualifies.
+    c_N rho^N / (1 - rho) of the tail is below tol.  Returns (a_1..a_N,
+    that majorant).  A cut by n a_n also meets the rule for a_n: a block
+    of n a_n >= 0 non-increasing from at most the previous one's last
+    gives such a block of a_n, with a_N <= N a_N.  Raises TruncationError
+    if no block end up to the first one at or past n_max qualifies.
     """
     n_done = 0
     block = 256
@@ -246,9 +248,9 @@ def truncated_coeffs(
     while n_done < n_max:
         idx = np.arange(n_done + 1, n_done + block + 1)
         vals = seq.values_at(idx)
+        chunks.append(vals)
         if index_weighted:
             vals = idx * vals
-        chunks.append(vals)
         n_done += block
         qualifies = bool(np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last and vals[-1] >= 0.0)
         prev_last = float(vals[-1])

@@ -22,7 +22,6 @@ import enum
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +34,7 @@ from .params import (
     NumericError,
     ParamSet,
     ParameterDomainError,
+    count,
 )
 from .series import Q_parts, log_coeff_Q, log_factorial
 
@@ -470,13 +470,6 @@ def _scale(case: InequalityCase, unit: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _count(name: str, value, least: int) -> int:
-    """value as an int, if it is an integer >= least; else ConfigurationError."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def verify_inequality(
     case: InequalityCase | str,
     samples: int = 10**5,
@@ -493,8 +486,8 @@ def verify_inequality(
         if case not in INEQUALITY_CASES:
             raise ConfigurationError(f"unknown inequality id: {case}")
         case = INEQUALITY_CASES[case]
-    samples = _count("samples", samples, 10**3)
-    seed = _count("seed", seed, 0)
+    samples = count("samples", samples, 10**3)
+    seed = count("seed", seed, 0)
 
     d = len(case.dims)
     corners = 2 ** d

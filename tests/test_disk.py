@@ -44,6 +44,19 @@ IDENTITY = FunctionSequence(lambda n: np.where(n == 1, 1.0, 0.0))
 SMALL_GRID = DiskGrid(16, 64, 0.99)
 
 
+def test_sequence_with_params_is_rejected(tmp_path):
+    # a sequence carries its own (mu, r): a second ParamSet was once dropped
+    # silently, answering for F(1, 1) where F(5, 9) was asked
+    seq, p = CoefficientSeq(Family.F, ParamSet(1.0, 1.0)), ParamSet(5.0, 9.0)
+    with pytest.raises(ConfigurationError):
+        verify_functional(Functional.RATIO_HALFPLANE, seq, p, SMALL_GRID)
+    with pytest.raises(ConfigurationError):
+        dump_grid_csv(Functional.RATIO_HALFPLANE, seq, p, SMALL_GRID, tmp_path / "grid.csv")
+    assert not (tmp_path / "grid.csv").exists()
+    by_name = verify_functional(Functional.RATIO_HALFPLANE, Family.F, p, SMALL_GRID)
+    assert by_name == verify_functional(Functional.RATIO_HALFPLANE, CoefficientSeq(Family.F, p), grid=SMALL_GRID)
+
+
 def test_example_family_with_params_is_rejected():
     # SHat takes no (mu, r); they are not dropped silently
     with pytest.raises(ParameterDomainError):
@@ -67,6 +80,16 @@ class TestDiskGrid:
             DiskGrid(4, 2)
         with pytest.raises(ConfigurationError):
             DiskGrid(4, 16, 1.0)
+
+    @pytest.mark.parametrize("sizes", [(64, 256.0), (2.5, 256), (64, "256"), (64, 3), (0, 256)])
+    def test_sizes_must_be_integers(self, sizes):
+        # a float count once passed, then failed in numpy or was rounded up
+        with pytest.raises(ConfigurationError, match=r"^n_(radii|angles) must be an integer >= "):
+            DiskGrid(*sizes)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        grid = DiskGrid(np.int64(8), np.int32(16), 0.9)
+        assert len(grid.radii()) == 8 and len(grid.angles()) == 16
 
     def test_angles_capped_at_max_points(self):
         # a first pass runs at m = n_angles, so more would bypass the cap
@@ -311,17 +334,18 @@ class TestSeriesBudget:
         assert rep.terms == 256
         assert rep.tail_bound == 0.0
 
-    def test_starlike_reports_the_larger_of_its_two_cuts(self):
-        # Starlike cuts sum a_n z^(n-1) and sum n a_n z^(n-1) separately; here
-        # the longer cut is the weighted one and the larger majorant the other
+    def test_starlike_reports_its_weighted_cut(self):
+        # Starlike cuts once, by the rule for n a_n, and builds f/z and f'
+        # from that one cut; the rule for a_n alone would stop a block
+        # earlier, with a larger majorant
         seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
         cp, tail_p = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP)
         cd, tail_d = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP,
                                       index_weighted=True)
         assert len(cd) > len(cp) and tail_p > tail_d
+        assert np.array_equal(cd[:len(cp)], cp)
         rep = verify_functional(Functional.STARLIKE, seq, grid=SMALL_GRID)
-        assert rep.terms == len(cd)
-        assert rep.tail_bound == tail_p
+        assert (rep.terms, rep.tail_bound) == (len(cd), tail_d)
         assert 0.0 < rep.tail_bound < 1e-12
 
     @pytest.mark.parametrize("functional", list(Functional))
@@ -331,10 +355,22 @@ class TestSeriesBudget:
         weighted = functional is not Functional.RATIO_HALFPLANE
         c, tail = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP,
                                    index_weighted=weighted)
-        if functional is Functional.STARLIKE:
-            c0, tail0 = truncated_coeffs(seq, SMALL_GRID.max_radius, 1e-12, _COEFF_CAP)
-            c, tail = max(c, c0, key=len), max(tail, tail0)
         assert (rep.terms, rep.tail_bound) == (len(c), tail)
+
+    @pytest.mark.parametrize("functional", list(Functional))
+    def test_one_coefficient_read_per_check(self, functional, monkeypatch):
+        # every row of a check comes from one cut: the indices read sum to
+        # its terms (F(1, 1) at 0.99 cuts a_n a block before n a_n)
+        reads = []
+        original = CoefficientSeq.log_values_at
+
+        def spy(self, n):
+            reads.append(len(n))
+            return original(self, n)
+
+        monkeypatch.setattr(CoefficientSeq, "log_values_at", spy)
+        rep = verify_functional(functional, CoefficientSeq(Family.F, ParamSet(1.0, 1.0)), grid=SMALL_GRID)
+        assert rep.holds and sum(reads) == rep.terms
 
 
 # The lattice evaluator as it was before the folded matmul, kept verbatim

@@ -37,6 +37,7 @@ from mathieu_geom.series import (
     eval_S_integral,
     eval_series,
     log_factorial,
+    truncated_coeffs,
 )
 
 MU_GRID = [0.5, 1.0, 2.0, 5.0]
@@ -225,6 +226,43 @@ class TestEvalSeries:
         assert res.tail_bound < 1e-12
         longer = brute_force_sum(seq, 0.99, 2 * res.truncation_index)
         assert abs(res.value - longer) <= res.tail_bound + 1e-15
+
+
+def _cut(seq, rho, weighted):
+    try:
+        return truncated_coeffs(seq, rho, 1e-12, 20_000, weighted)
+    except TruncationError:
+        return None
+
+
+_CUT_FIXTURES = [FunctionSequence(lambda n: 1.0 / n**2), FunctionSequence(lambda n: 0.9 ** (n - 1)),
+                 FunctionSequence(lambda n: np.where(n == 1, 1.0, 0.0))]
+_CUT_SEQUENCES = st.one_of(
+    st.builds(CoefficientSeq, st.sampled_from([Family.F, Family.Q]),
+              st.builds(ParamSet, st.floats(0.05, 8.0), st.floats(0.05, 8.0))),
+    st.sampled_from(_CUT_FIXTURES))
+
+
+class TestTruncatedCoeffs:
+    def test_returns_the_coefficients_it_read(self):
+        seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
+        a, tail = truncated_coeffs(seq, 0.9, 1e-12, 20_000, index_weighted=True)
+        n = np.arange(1, len(a) + 1)
+        assert np.array_equal(a, seq.values_at(n))
+        assert tail == len(a) * a[-1] * 0.9 ** len(a) / (1.0 - 0.9)
+
+    @settings(max_examples=80)
+    @given(seq=_CUT_SEQUENCES, rho=st.floats(0.05, 0.99))
+    def test_weighted_cut_meets_the_plain_rule(self, seq, rho):
+        # n a_n >= 0 non-increasing on a block, from at most the previous
+        # block's last, makes a_n so too; and a_N <= N a_N
+        plain, weighted = _cut(seq, rho, False), _cut(seq, rho, True)
+        if weighted is None:
+            return
+        assert plain is not None
+        (a, tail), (a0, _) = weighted, plain
+        assert len(a) >= len(a0) and np.array_equal(a[:len(a0)], a0)
+        assert a[-1] * rho ** len(a) / (1.0 - rho) <= tail < 1e-12
 
 
 class TestClassicalMathieu:
