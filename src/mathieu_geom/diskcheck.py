@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -75,8 +76,10 @@ class DiskGrid:
         count("n_radii", self.n_radii, 1)
         if count("n_angles", self.n_angles, 4) > _MAX_POINTS:
             raise ConfigurationError(f"n_angles must be at most {_MAX_POINTS}, got {self.n_angles}")
-        if not (0.0 < self.max_radius < 1.0):
-            raise ConfigurationError(f"max_radius must be in (0,1), got {self.max_radius}")
+        if (isinstance(self.max_radius, bool) or not isinstance(self.max_radius, numbers.Real)
+                or not 0.0 < self.max_radius < 1.0):
+            raise ConfigurationError(
+                f"max_radius must be a real number in (0,1), got {self.max_radius!r}")
 
     def radii(self) -> np.ndarray:
         i = np.arange(1, self.n_radii + 1)

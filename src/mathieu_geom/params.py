@@ -86,7 +86,9 @@ def comparison_slack(lhs, rhs):
 
 
 def count(name: str, value, least: int) -> int:
-    """value as an int, if it is an integer >= least; else ConfigurationError."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """value as an int, if it is an integer (not a bool) >= least; else
+    ConfigurationError."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
         raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

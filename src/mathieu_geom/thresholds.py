@@ -94,8 +94,6 @@ _PSI_TAIL = (-1.0 / 12, 691.0 / 32760, -1.0 / 132, 1.0 / 240,
 _TRI_TAIL = (7.0 / 6, -691.0 / 2730, 5.0 / 66, -1.0 / 30,
              1.0 / 42, -1.0 / 30, 1.0 / 6)
 
-_RECURRENCE_CUTOFF = 8.0
-
 
 def _elementwise(fn):
     """Let fn(x, ...), written for a float array x, take a float (Python
@@ -113,36 +111,48 @@ def _elementwise(fn):
     return wrapper
 
 
-def _shift_up(x: np.ndarray, term):
-    """Shift x up to >= 8 by the recurrence, in place: returns x and the
-    sum of term(x), term(x+1), ... per element."""
-    acc = np.zeros_like(x)
-    low = np.flatnonzero(x < _RECURRENCE_CUTOFF)
-    while low.size:
-        v = x[low]
-        acc[low] += term(v)
-        v += 1.0
-        x[low] = v
-        low = low[v < _RECURRENCE_CUTOFF]
-    return x, acc
+def _shift_up(x: np.ndarray, power: int):
+    """Shift every element of x up by 8 with the recurrence, in place and
+    without gathers, so x >= 8.  Returns x, inv = 1/x and the sum of
+    v^-power over the eight values v passed."""
+    acc, inv = np.zeros_like(x), np.empty_like(x)
+    for _ in range(8):
+        np.divide(1.0, x, out=inv)
+        if power == 2:
+            inv *= inv  # not 1/(v*v), which overflows for huge v
+        acc += inv
+        x += 1.0
+    return x, np.divide(1.0, x, out=inv), acc
+
+
+def _horner(coeffs, y: np.ndarray) -> np.ndarray:
+    """The polynomial of coeffs (highest power first) at y, in place in one
+    array: np.polyval's operations without its two arrays per coefficient."""
+    out = np.full_like(y, coeffs[0])
+    for c in coeffs[1:]:
+        out *= y
+        out += c
+    return out
 
 
 @_elementwise
 def digamma(x: float | np.ndarray) -> float | np.ndarray:
     """psi(x) for x > 0, a float (Python float out) or an array
-    (elementwise), by upward recurrence to x >= 8 plus the asymptotic
-    series (absolute error below 1e-12)."""
-    x, acc = _shift_up(x, lambda v: -1.0 / v)
-    y = 1.0 / (x * x)
-    return acc + np.log(x) - 0.5 / x + np.polyval(_PSI_TAIL, y) * y
+    (elementwise), by eight steps of the recurrence psi(x) = psi(x+1) - 1/x
+    plus the asymptotic series at x + 8 (DLMF 5.5.2, 5.11.2): error within
+    1e-12 max(1, |psi|), since near 0, where psi ~ -1/x, 1/x rounds by more."""
+    x, inv, acc = _shift_up(x, 1)
+    y = inv * inv
+    return np.log(x) - acc - 0.5 * inv + _horner(_PSI_TAIL, y) * y
 
 
 @_elementwise
 def trigamma(x: float | np.ndarray) -> float | np.ndarray:
-    """psi'(x) for x > 0, same scheme and types as `digamma`."""
-    x, acc = _shift_up(x, lambda v: 1.0 / (v * v))
-    y = 1.0 / (x * x)
-    return acc + 1.0 / x + 0.5 * y + np.polyval(_TRI_TAIL, y) * y / x
+    """psi'(x) for x > 0, same scheme and types as `digamma` (DLMF 5.15.5,
+    5.15.8): relative error within 1e-13."""
+    x, inv, acc = _shift_up(x, 2)
+    y = inv * inv
+    return acc + inv + 0.5 * y + _horner(_TRI_TAIL, y) * (y * inv)
 
 
 # --- auxiliary functions of the factorial-family convexity proofs ----------
@@ -404,20 +414,16 @@ def _scramble(d: int, seed: int):
     return shift, ((par & 1) << msb_first[:, None]).sum(axis=1, dtype=np.uint32)
 
 
-def _sobol_block(shift: np.ndarray, v: np.ndarray, k0: int, out: np.ndarray) -> None:
-    """Points k0, k0+1, ... of the scrambled sequence, times 2^30, into the
-    columns of out (d, n).  Point k is the shift xor the direction numbers
-    of the set bits of gray(k) = k xor (k >> 1), so point k is point k-1
-    xor the direction number of bit ctz(k); ctz(k) = b exactly at
-    k = 2^b mod 2^(b+1)."""
-    gray = k0 ^ (k0 >> 1)
-    out[:, 0] = shift
-    for b in range(gray.bit_length()):
-        if gray >> b & 1:
-            out[:, 0] ^= v[:, b]
-    for b in range((k0 + out.shape[1] - 1).bit_length()):
-        out[:, ((1 << b) - k0 - 1) % (2 << b) + 1::2 << b] = v[:, b, None]
-    np.bitwise_xor.accumulate(out, axis=1, out=out)
+def _gray_xor(v: np.ndarray, k: int) -> np.ndarray:
+    """The xor of the direction numbers of the set bits of gray(k) =
+    k xor (k >> 1): point k of the sequence, times 2^30, is the shift xor
+    this."""
+    g = k ^ (k >> 1)
+    out = np.zeros(len(v), dtype=np.uint32)
+    for b in range(g.bit_length()):
+        if g >> b & 1:
+            out ^= v[:, b]
+    return out
 
 
 def _unit_blocks(d: int, n_face: int, seed: int, start: int, stop: int):
@@ -426,7 +432,12 @@ def _unit_blocks(d: int, n_face: int, seed: int, start: int, stop: int):
     pinned to 0, then to 1, n_face points each, for each k in turn) and
     then the interior.  Yields them as (n, d) blocks of _BLOCK rows, the
     last one shorter; every block is a view of one buffer, with contiguous
-    columns, that the next block overwrites."""
+    columns, that the next block overwrites.
+
+    Points come from one table of points 0..2^p-1 (2^p the least power of
+    two >= the block length): for j < 2^p, gray(w 2^p + j) = gray(w 2^p)
+    xor gray(j), so window w of the run is that table xor one constant,
+    and a block spans at most two windows."""
     corners = 2 ** d
     if stop - corners > 2 ** _SOBOL_BITS:
         raise ConfigurationError(
@@ -437,19 +448,30 @@ def _unit_blocks(d: int, n_face: int, seed: int, start: int, stop: int):
             f"the Sobol generator has {len(_SOBOL_V)} dimensions, {d} were asked for")
     shift, v = _scramble(d, seed)
     corner_rows = np.array(list(itertools.product((0.0, 1.0), repeat=d))).T
-    ints = np.empty((d, min(_BLOCK, stop - start)), dtype=np.uint32)
-    unit = np.empty(ints.shape)
+    unit = np.empty((d, min(_BLOCK, stop - start)))
+    p = max(unit.shape[1] - 1, 0).bit_length()
+    # point k is point k-1 xor the direction number of bit ctz(k), and
+    # ctz(k) = b exactly at k = 2^b mod 2^(b+1); a run that ends inside
+    # window 0 reads the table only up to its end
+    base = np.empty((d, min(1 << p, max(stop - corners, 0))), dtype=np.uint32)
+    base[:, :1] = shift[:, None]
+    for b in range(p):
+        base[:, 1 << b::2 << b] = v[:, b, None]
+    np.bitwise_xor.accumulate(base, axis=1, out=base)
     for r0 in range(start, stop, _BLOCK):
         out = unit[:, :min(_BLOCK, stop - r0)]
         head = min(max(corners - r0, 0), out.shape[1])  # corner rows of the block
         out[:, :head] = corner_rows[:, r0:r0 + head]
         k0 = r0 + head - corners  # Sobol index of the block's first other row
-        pts = ints[:, :out.shape[1] - head]
-        if pts.size:
-            _sobol_block(shift, v, k0, pts)
-            np.multiply(pts, 2.0 ** -_SOBOL_BITS, out=out[:, head:])
+        k1 = k0 + out.shape[1] - head
+        for w0 in range(k0 >> p << p, k1, 1 << p):  # windows meeting [k0, k1)
+            lo, hi = max(k0, w0), min(k1, w0 + (1 << p))
+            seg, c = base[:, lo - w0:hi - w0], _gray_xor(v, w0)[:, None]
+            seg ^= c  # the window's points, in place; the second xor restores the table
+            np.multiply(seg, 2.0 ** -_SOBOL_BITS, out=out[:, head + lo - k0:head + hi - k0])
+            seg ^= c
         for f in range(2 * d):  # face f pins dim f // 2 to f % 2
-            lo, hi = max(f * n_face, k0), min((f + 1) * n_face, k0 + pts.shape[1])
+            lo, hi = max(f * n_face, k0), min((f + 1) * n_face, k1)
             if lo < hi:
                 out[f // 2, head + lo - k0:head + hi - k0] = f % 2
         yield out.T

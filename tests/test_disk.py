@@ -81,11 +81,18 @@ class TestDiskGrid:
         with pytest.raises(ConfigurationError):
             DiskGrid(4, 16, 1.0)
 
-    @pytest.mark.parametrize("sizes", [(64, 256.0), (2.5, 256), (64, "256"), (64, 3), (0, 256)])
+    @pytest.mark.parametrize("sizes", [(64, 256.0), (2.5, 256), (64, "256"), (64, 3), (0, 256),
+                                       (True, 256)])
     def test_sizes_must_be_integers(self, sizes):
         # a float count once passed, then failed in numpy or was rounded up
         with pytest.raises(ConfigurationError, match=r"^n_(radii|angles) must be an integer >= "):
             DiskGrid(*sizes)
+
+    @pytest.mark.parametrize("radius", [True, "0.5", None, 0.5 + 0j])
+    def test_max_radius_must_be_real(self, radius):
+        # "0.5" raised a bare TypeError from the comparison
+        with pytest.raises(ConfigurationError, match=r"^max_radius must be a real number "):
+            DiskGrid(64, 256, radius)
 
     def test_numpy_integer_sizes_are_accepted(self):
         grid = DiskGrid(np.int64(8), np.int32(16), 0.9)

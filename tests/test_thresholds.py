@@ -4,6 +4,7 @@ and the inequality ledger."""
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -195,6 +196,27 @@ class TestDigammaTrigamma:
         xs = np.exp(np.linspace(math.log(0.1), math.log(1e4), 2000))
         np.testing.assert_allclose(digamma(xs), psi(xs), rtol=0, atol=1e-12)
         np.testing.assert_allclose(trigamma(xs), polygamma(1, xs), rtol=1e-12, atol=1e-14)
+
+    def test_mpmath_oracle(self):
+        # psi within 1e-12 max(1, |psi|) (near 0 one ulp of 1/x is more than
+        # 1e-12), psi' within 1e-13 relative, on [1e-6, 1e6]
+        import mpmath
+
+        xs = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 400))
+        with mpmath.workdps(40):
+            psi = np.array([float(mpmath.psi(0, float(x))) for x in xs])
+            tri = np.array([float(mpmath.psi(1, float(x))) for x in xs])
+        assert np.all(np.abs(digamma(xs) - psi) <= 1e-12 * np.maximum(1.0, np.abs(psi)))
+        assert np.all(np.abs(trigamma(xs) - tri) <= 1e-13 * tri)
+
+    @pytest.mark.parametrize("x", [1e200, 1e300, sys.float_info.max])
+    def test_huge_x_does_not_overflow(self, x):
+        # 1/(x*x) overflowed; x + 8 rounds to x, so the leading terms remain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert digamma(x) == math.log(x) - 0.5 / x
+            assert trigamma(x) == 1.0 / x + 0.5 / x / x
+            assert np.array_equal(digamma(np.array([x, 2.0])), [digamma(x), digamma(2.0)])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_array_domain(self, bad):
@@ -583,6 +605,17 @@ class TestInequalityLedger:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sobol_deep_in_the_run_across_windows(self, monkeypatch, d):
+        # blocks of 1000 rows xor windows of 1024 points: 3000 points from
+        # index 2**22 - 1500 cross window edges inside blocks and the
+        # 2**22 edge, where gray(k) gains its top bit
+        k0, seed = 2**22 - 1500, 1000 + d
+        monkeypatch.setattr(thresholds, "_BLOCK", 1000)
+        got = _rows(d, 0, seed, 2**d + k0, 2**d + k0 + 3000)
+        want = qmc.Sobol(d, scramble=True, seed=seed).fast_forward(k0).random(3000)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sobol_of_no_points(self, d):
         assert list(_unit_blocks(d, 1, 0, 2**d, 2**d)) == []
         assert _rows(d, 1, 0, 0, 2**d).shape == (2**d, d)
@@ -673,6 +706,7 @@ class TestInequalityLedger:
         ({"samples": 1e5}, "samples"), ({"samples": 999}, "samples"),
         ({"samples": "1000"}, "samples"), ({"samples": None}, "samples"),
         ({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"), ({"seed": 1.0}, "seed"),
+        ({"seed": True}, "seed"), ({"seed": False}, "seed"),  # a bool is an Integral
     ])
     def test_argument_errors_name_the_argument(self, monkeypatch, kwargs, name):
         # checked before any point is drawn
