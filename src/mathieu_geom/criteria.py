@@ -75,15 +75,15 @@ class CriterionReport:
         return self.status is Status.VERIFIED
 
 
-def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool) -> np.ndarray:
-    """t_n for n <= N from one read of a normalized sequence: t_n = n a_n
-    if weighted, else a_n."""
+def _prefix(c: SequenceBase, n_terms: int, least: int, weighted: bool):
+    """(t_n, log a_n) for n <= N from one read of a normalized sequence:
+    t_n = n a_n if weighted, else a_n."""
     if n_terms < least:
         raise ParameterDomainError(f"N must be >= {least}, got {n_terms}")
-    vals, _ = c.read(n_terms)
+    vals, logs = c.read(n_terms)
     if not abs(vals[0] - 1.0) <= 1e-12:  # NaN is not normalized either
         raise NormalizationError(f"sequence is not normalized: a_1 = {vals[0]}")
-    return prefix_arrays(n_terms)[0] * vals if weighted else vals
+    return (prefix_arrays(n_terms)[0] * vals if weighted else vals), logs
 
 
 def _chain_scan(lhs, rhs, first: int = 1):
@@ -132,7 +132,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
     A Verified report names the branch in ``detail``; a Falsified one
     carries the decreasing branch's witness.
     """
-    t = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)  # t_1 = 1 by normalization
+    t, _ = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)  # t_1 = 1 by normalization
 
     # decreasing branch: t non-increasing and t_N >= 0
     dec = [_chain_scan(t[:-1], t[1:]),
@@ -151,7 +151,7 @@ def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionRep
 def check_fejer_starlike(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Fejer starlikeness: {n a_n} and {n a_n - (n+1) a_{n+1}} both
     non-increasing."""
-    t = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)
+    t, _ = _prefix(c, n_terms, MIN_CHAIN_TERMS, weighted=True)
     d = t[:-1] - t[1:]
     scans = [_chain_scan(t[:-1], t[1:]), _chain_scan(d[:-1], d[1:])]
     (_, w1), (_, w2) = scans
@@ -167,7 +167,7 @@ def check_fejer_halfplane(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS,
     With index_weighted=True the check applies to {n a_n} (the
     derivative-series coefficients) instead of {a_n}.
     """
-    v = _prefix(c, n_terms, MIN_CHAIN_TERMS, index_weighted)
+    v, _ = _prefix(c, n_terms, MIN_CHAIN_TERMS, index_weighted)
     return _report(Criterion.FEJER_HALFPLANE, n_terms, [
         _chain_scan(v, 0.0),
         _chain_scan(v[:-1], v[1:]),
@@ -175,9 +175,9 @@ def check_fejer_halfplane(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS,
     ])
 
 
-def _goodman_tail(c: CoefficientSeq, n_terms: int, weighted: np.ndarray):
-    """Rigorous majorant for sum_{n > N} n |a_n|, or None if unavailable;
-    weighted holds n |a_n| for n <= N."""
+def _goodman_tail(c: CoefficientSeq, n_terms: int, log_last: float):
+    """Rigorous majorant for sum_{n > N} n |a_n| and its rule, or (None, "")
+    for F, a FunctionSequence and Q with q(N) >= 1; log_last is log a_N."""
     big_n = float(n_terms)
     if c.family is Family.SHAT:
         # sum_{n>N} 8n/(n^2+1)^3 <= int_N^inf 8x/(x^2+1)^3 dx
@@ -188,17 +188,22 @@ def _goodman_tail(c: CoefficientSeq, n_terms: int, weighted: np.ndarray):
         # 2/((2N+1)!!+1)
         log_dfact = math.lgamma(2 * n_terms + 2) - (n_terms * math.log(2.0) + math.lgamma(n_terms + 1))
         return 2.0 * math.exp(-log_dfact), "telescoping"
-    # generic: geometric ratio bound from the tip, valid when the tip
-    # ratios of {n |a_n|} are below 1 and non-increasing
-    k = min(6, len(weighted) - 1)
-    tip = weighted[-(k + 1):]
-    if np.any(tip <= 0.0):
-        return 0.0, "zero tail"  # sequence already identically 0 at the tip
-    ratios = tip[1:] / tip[:-1]
-    q = float(np.max(ratios))
-    if q < 1.0 and np.all(np.diff(ratios) <= 1e-12):
-        return float(weighted[-1]) * q / (1.0 - q), "geometric"
-    return None, ""
+    if c.family is not Family.Q:
+        return None, ""
+    # (n+1) C_(n+1) / (n C_n) <= q(n) = ((n+1)/n) (n+1)^(-2 mu - 1) (1 + r^2/(n!)^2)^(mu+1),
+    # as ((n+1)!)^2 + r^2 >= ((n+1)!)^2, and q decreases in n: the tail is at
+    # most N C_N q/(1 - q) at q = q(N) < 1, formed in logs (C_N may underflow)
+    mu, r, lf = c.params.mu, c.params.r, math.lgamma(big_n + 1.0)
+    spill = math.log1p(r * r * math.exp(-2.0 * lf))
+    shrink = (2.0 * mu + 1.0) * math.log(big_n + 1.0)
+    log_q = math.log1p(1.0 / big_n) - shrink + (mu + 1.0) * spill
+    # rounding: computed log C_n were within 7 eps of the size of their terms (mpmath)
+    slack = 1e-13 * (1.0 + lf + shrink + (mu + 1.0) * (math.log1p(r * r) + 2.0 * lf + spill))
+    log_q += slack
+    if not log_q < 0.0:
+        return None, ""
+    log_tail = math.log(big_n) + log_last + slack + log_q - math.log1p(-math.exp(log_q))
+    return math.nextafter(math.exp(log_tail), math.inf), "ratio"  # up: exp may underflow to 0
 
 
 def check_goodman(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
@@ -207,8 +212,8 @@ def check_goodman(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionR
     The partial sum over n <= N is completed with a family-specific
     rigorous tail majorant; without one the result is Inconclusive.
     """
-    weighted = np.abs(_prefix(c, n_terms, 2, weighted=True))
-    partial = float(np.sum(weighted[1:]))
+    t, logs = _prefix(c, n_terms, 2, weighted=True)
+    partial = float(np.sum(np.abs(t[1:])))
 
     if partial >= 1.0:
         k = int(n_terms)
@@ -218,7 +223,7 @@ def check_goodman(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionR
             detail="partial sum already >= 1",
         )
 
-    tail, how = _goodman_tail(c, n_terms, weighted)
+    tail, how = _goodman_tail(c, n_terms, float(logs[-1]))
     if tail is None:
         return CriterionReport(
             Criterion.GOODMAN_SUM.value, Status.INCONCLUSIVE, n_terms,

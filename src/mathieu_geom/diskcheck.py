@@ -8,16 +8,16 @@ stay above a bound on the closed disk |z| <= rho:
 
 Each is the real part of a function analytic on |z| <= rho (for Starlike
 while f/z has no zero there), so its minimum lies on |z| = rho.  Samples at
-m points of that circle, less the dip between them and the series error,
-bound it from below (Holds); a sample at or below bound - 1e-9 is Violated;
-m doubles up to 2^20, where a check still open is Inconclusive.
+m points of that circle, each arc's lesser one less the arc's dip and the
+series error, bound it from below (Holds); a sample at or below bound - 1e-9
+is Violated; m doubles up to 2^20, where a check still open is Inconclusive.
 Starlike certifies Re(f' conj(f/z)), of the sign of Re(z f'/f), and shows
 f/z zero-free by its winding number on the circle (argument principle).
 
-The dip bound K >= |g''| is global, but near |z| = 1 the series peak at
-z = 1; once it fails and its next pass would exceed the N terms, each arc
-gets its own from S(w) = T(w) (1-w)^(-k), T the k-th differences of c
-(summation by parts; Zygmund, Trigonometric Series, ch. I).
+Each arc's dip bound B >= |g''| starts as the global M_2, but the series
+peak at z = 1 near |z| = 1; once a pass is undecided and its next would
+exceed the N terms, B is lowered per arc from S(w) = T(w) (1-w)^(-k), T the
+k-th differences of c (summation by parts; Zygmund, Trigonometric Series, ch. I).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class DiskReport:
     terms: int          # coefficients a_1..a_N of the check's one series cut
     tail_bound: float   # that cut's tail majorant, by its rule (see _series)
     m: int              # circle points of the deciding pass
-    discretisation_bound: float  # K pi^2 / (2 m^2); per arc, that of the arc setting lower_bound
+    discretisation_bound: float  # B (pi/m)^2 / 2 of the arc setting lower_bound, B <= global M_2
     lower_bound: float  # least certified sample minus both error terms
     winding: Optional[int]  # Starlike: discrete winding number of f/z on the circle
 
@@ -275,31 +275,35 @@ def _lattice(functional: Functional, rows: np.ndarray, grid: DiskGrid):
 
 
 def _arc_certificate(starlike: bool, bounds, cert, p_abs, err, err_all: float, bound: float, m: int):
-    """(lower bound, its dip term, f/z zero-free, the m the margins ask for):
-    each arc's lesser end sample less B h^2/8, h = 2 pi/m, B >= |g''| there
+    """(lower bound, its dip term, f/z zero-free, the m the margins ask for)
+    from bounds B_i of shape (orders, rows, arcs), or one arc for all arcs:
+    each arc's lesser end sample less B (pi/m)^2/2, B >= |g''| there
     (Starlike: the product rule over f/z and f'), and |f/z| at it above its
-    error plus h B_1(f/z)."""
-    half, h = (m + 1) // 2, 2.0 * math.pi / m
+    error plus 2 pi B_1(f/z)/m."""
+    half = (m + 1) // 2
 
     def lesser_end(x):  # of each arc, then of it and its mirror arc
         ends = np.minimum(x, np.roll(x, -1))
         return np.minimum(ends[:half], ends[::-1][:half])
 
+    if bounds.shape[-1] == 1:  # one bound for every arc: each lesser end is the least sample
+        bounds, lesser_end = bounds[..., 0], np.ndarray.min
     if starlike:
         b0, b1, b2 = bounds
         k2 = b2[1] * b0[0] + 2.0 * b1[1] * b1[0] + b0[1] * b2[0]
     else:
         k2 = bounds[0, 0]
-    ends, dips = lesser_end(cert), k2 * h * h / 8.0
-    j = int(np.argmin(ends - dips))
+    ends, dips = lesser_end(cert), k2 * (math.pi / m) ** 2 / 2.0
+    low = ends - dips
+    j = int(low.argmin())
     margin = ends - err_all - bound
-    need = math.pi * float(np.max(np.sqrt(k2 / (2.0 * margin)))) if np.all(margin > 0) else math.inf
+    need = math.pi * math.sqrt((k2 / (2.0 * margin)).max()) if (margin > 0).all() else math.inf
     zero_free = True
     if starlike:
-        gap = lesser_end(p_abs) - err[0]
-        zero_free = bool(np.all(gap > h * b1[0]))
-        need = max(need, float(np.max(2.0 * math.pi * b1[0] / gap)) if np.all(gap > 0) else math.inf)
-    return float(ends[j] - dips[j]) - err_all, float(dips[j]), zero_free, need
+        gap, step = lesser_end(p_abs) - err[0], 2.0 * math.pi * b1[0]
+        zero_free = bool((gap > step / m).all())
+        need = max(need, float((step / gap).max()) if (gap > 0).all() else math.inf)
+    return float(low.flat[j]) - err_all, float(dips.flat[j]), zero_free, need
 
 
 def _next_m(m: int, need: float, cap: int) -> int:
@@ -321,39 +325,21 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     starlike = functional is Functional.STARLIKE
     rows, tails, (terms, tail_bound) = _series(functional, as_sequence(family, p), rho)
     moments, pw = _moments(rows, rho)
-    m0, m1, m2 = moments
+    m0 = moments[0]
     err = tails + _ROUNDING * m0  # each row's sampled sum against the series
-    if starlike:  # Re(D conj(P)), P = f/z and D = f' the two rows
-        k2 = float(m2[1] * m0[0] + 2.0 * m1[1] * m1[0] + m0[1] * m2[0])
-        err_all = float(m0[1] * err[0] + m0[0] * err[1] + err[0] * err[1])
-    else:
-        k2, err_all = float(m2[0]), float(err[0])
+    # Starlike: Re(D conj(P)), P = f/z and D = f' the two rows
+    err_all = float(m0[1] * err[0] + m0[0] * err[1] + err[0] * err[1]) if starlike else float(err[0])
+    orders = slice(None) if starlike else slice(2, None)  # Starlike needs B_0, B_1 and B_2, the others B_2
+    glob = np.array(moments)[orders, :, None]
 
-    m, poly = grid.n_angles, None
+    m, poly, certs = grid.n_angles, None, None
     cap = m * 2 ** int(math.log2(_MAX_POINTS / m))
     while True:
-        min_value, argmin, certs, p_abs, winding = _circle_pass(functional, rows, rho, m)
-        cert, p_low = float(np.min(certs)), float(np.min(p_abs)) if starlike else math.inf
-        disc = k2 * (math.pi / m) ** 2 / 2.0
-        lower = cert - disc - err_all
-        # Starlike: |f/z| > 0 on the circle, and no zero slips between samples
-        zero_free = p_low - err[0] > 2.0 * math.pi * m1[0] / m
-        violated = min_value <= bound - DEFAULT_TOLERANCE
-        if not (violated or zero_free and (winding != 0 or lower > bound)):
-            # the least m at which the measured margins would pass
-            margin, gap = cert - err_all - bound, p_low - err[0]
-            need = max(math.pi * math.sqrt(k2 / (2.0 * margin)) if margin > 0 else math.inf,
-                       2.0 * math.pi * m1[0] / gap if gap > 0 else math.inf)
-            if poly is not None or _next_m(m, need, cap) > rows.shape[1]:
-                # the next pass would exceed the N terms: bound each arc
-                if poly is None:  # Starlike needs B_0, B_1 and B_2, the others B_2
-                    orders = slice(None) if starlike else slice(2, None)
-                    poly = _arc_polynomials(rows, pw, moments, rho)[:, :, orders]
-                    glob = np.array(moments)[orders, :, None]
-                lower, disc, zero_free, arc_need = _arc_certificate(
-                    starlike, _arc_bounds(poly, glob, rho, m), certs, p_abs, err, err_all, bound, m)
-                need = min(need, arc_need)
-        if violated:
+        if certs is None:  # a new pass
+            min_value, argmin, certs, p_abs, winding = _circle_pass(functional, rows, rho, m)
+        bounds = glob if poly is None else _arc_bounds(poly, glob, rho, m)
+        lower, disc, zero_free, need = _arc_certificate(starlike, bounds, certs, p_abs, err, err_all, bound, m)
+        if min_value <= bound - DEFAULT_TOLERANCE:
             status = DiskStatus.VIOLATED
         elif zero_free and winding != 0:
             status = DiskStatus.VIOLATED
@@ -362,10 +348,14 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
             min_value, argmin = float(vals[i]), complex(z[i])
         elif zero_free and lower > bound:
             status = DiskStatus.HOLDS
+        elif poly is None and _next_m(m, need, cap) > rows.shape[1]:
+            # the next pass would exceed the N terms: bound each arc, from this pass on
+            poly = _arc_polynomials(rows, pw, moments, rho)[:, :, orders]
+            continue
         elif m >= cap:
             status = DiskStatus.INCONCLUSIVE
         else:
-            m = _next_m(m, need, cap)
+            m, certs = _next_m(m, need, cap), None
             continue
         return DiskReport(functional, status, min_value, bound, argmin, grid, terms, tail_bound,
                           m, disc, lower, winding if starlike else None)

@@ -103,6 +103,8 @@ def bisect_failure_r(
     lo, hi = sufficient_r, r_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no double lies between them: tol is below their spacing
+            break
         if passes(mid):
             lo = mid
         else:

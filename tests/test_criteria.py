@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,13 +180,53 @@ class TestGoodman:
         assert rep.min_margin >= 0.25  # telescoped total is below 1 - 1/4
 
     def test_identity_function(self):
+        # a FunctionSequence has no tail majorant: zeros up to N bound nothing past it
         rep = check_goodman(FunctionSequence(lambda n: np.where(n == 1, 1.0, 0.0)))
-        assert rep.status is Status.VERIFIED
+        assert rep.status is Status.INCONCLUSIVE
         assert rep.min_margin == pytest.approx(1.0)
+
+    def test_spike_past_the_prefix_is_inconclusive(self):
+        # n |a_n| is 0 on 2..200 and 2.5 at n = 250: the sum is 2.5, not below 1
+        spike = FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 250, 0.01, 0.0)))
+        rep = check_goodman(spike, 200)
+        assert rep.status is Status.INCONCLUSIVE
+        assert rep.detail == "no rigorous tail majorant for this prefix"
 
     def test_generic_geometric_tail(self):
         rep = check_goodman(seq_Q(1.0, 1.0), 100)
         assert rep.status is Status.VERIFIED
+
+    def test_underflowed_Q_tail_is_a_positive_bound(self):
+        # C_n underflows to 0 long before n = 200; the ratio rule still
+        # bounds the tail, rounded up to the least positive double
+        rep = check_goodman(seq_Q(1.0, 1.0), 200)
+        assert rep.status is Status.VERIFIED
+        assert rep.detail == f"tail bound: ratio ({math.ulp(0.0):.3e})"
+
+    def test_F_has_no_tail_majorant(self):
+        rep = check_goodman(seq_F(3.0, 1.0), 200)
+        assert rep.status is Status.INCONCLUSIVE and rep.min_margin > 0.8
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=st.floats(0.1, 10.0), r=st.floats(0.05, 100.0), big_n=st.integers(2, 40))
+    def test_Q_ratio_tail_bounds_the_true_tail(self, mu, r, big_n):
+        # against sum_{n > N} n C_n at 40 digits; where q(N) >= 1 there is no bound
+        seq = seq_Q(mu, r)
+        tail, how = criteria._goodman_tail(seq, big_n, float(seq.read(big_n)[1][-1]))
+        if tail is None:
+            r2, lf = mpmath.mpf(r) ** 2, mpmath.loggamma(big_n + 1)
+            q = (1 + mpmath.mpf(1) / big_n) * (big_n + 1) ** (-2 * mu - 1) * (1 + r2 * mpmath.exp(-2 * lf)) ** (mu + 1)
+            assert q > 1 - 1e-9
+            return
+        with mpmath.workdps(40):
+            r2 = mpmath.mpf(r) ** 2
+
+            def term(n):
+                lf = mpmath.loggamma(n + 1)
+                return n * mpmath.exp(lf + (mu + 1) * (mpmath.log1p(r2) - mpmath.log(mpmath.exp(2 * lf) + r2)))
+
+            true = mpmath.nsum(term, [big_n + 1, mpmath.inf])
+        assert how == "ratio" and 0.0 < true <= tail
 
     def test_falsified_when_sum_exceeds_one(self):
         rep = check_goodman(FunctionSequence(lambda n: np.where(n <= 2, 1.0, 0.0)))

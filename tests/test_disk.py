@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mathieu_geom.diskcheck import (
     _COEFF_CAP,
     _MAX_POINTS,
+    _ROUNDING,
     FUNCTIONAL_BOUND,
     DiskGrid,
     DiskStatus,
@@ -19,6 +20,7 @@ from mathieu_geom.diskcheck import (
     _arc_bounds,
     _arc_certificate,
     _arc_polynomials,
+    _circle_pass,
     _fold_eval,
     _moments,
     _series,
@@ -483,6 +485,24 @@ class TestPolishedLongSeries:
         assert rep.min_value == pytest.approx(direct, rel=1e-8)
 
 
+def _global_certificate(starlike, moments, certs, p_abs, err, err_all, bound, m):
+    """The scalar rule verify_functional once ran beside the per-arc one:
+    one K over the whole circle, from the global moments M_0..M_2."""
+    m0, m1, m2 = moments
+    if starlike:
+        k2 = float(m2[1] * m0[0] + 2.0 * m1[1] * m1[0] + m0[1] * m2[0])
+    else:
+        k2 = float(m2[0])
+    cert, p_low = float(np.min(certs)), float(np.min(p_abs)) if starlike else math.inf
+    disc = k2 * (math.pi / m) ** 2 / 2.0
+    lower = cert - disc - err_all
+    zero_free = p_low - err[0] > 2.0 * math.pi * m1[0] / m
+    margin, gap = cert - err_all - bound, p_low - err[0]
+    need = max(math.pi * math.sqrt(k2 / (2.0 * margin)) if margin > 0 else math.inf,
+               2.0 * math.pi * m1[0] / gap if gap > 0 else math.inf)
+    return lower, disc, bool(zero_free), need
+
+
 class TestArcBound:
     # Inconclusive at 2^20 points under the one global dip bound
     NEAR_KOEBE = [
@@ -540,6 +560,32 @@ class TestArcBound:
                 for k, (a0, a1, a2) in enumerate(poly, 1):  # each k alone, at this arc's d
                     alone = (a0[i, :, 0] + (a1[i, :, 0] + a2[i, :, 0] / d) / d) / d**k
                     assert np.all(got <= alone + slack)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from([Family.F, Family.Q]),
+           functional=st.sampled_from([Functional.STARLIKE, Functional.CLOSE_TO_CONVEX]),
+           mu=st.floats(0.2, 3.0), r=st.floats(0.05, 3.0), rho=st.floats(0.3, 0.995),
+           m=st.sampled_from([4, 5, 128, 16384]))
+    def test_global_moments_for_every_arc_give_the_global_rule(self, family, functional, mu, r, rho, m):
+        # the global moments as every arc's bound reproduce the scalar rule
+        # bit for bit; the per-arc bounds of the same pass certify no less
+        # and ask for no more points
+        starlike = functional is Functional.STARLIKE
+        rows, tails, _ = _series(functional, CoefficientSeq(family, ParamSet(mu, r)), rho)
+        moments, pw = _moments(rows, rho)
+        m0 = moments[0]
+        err = tails + _ROUNDING * m0
+        err_all = float(m0[1] * err[0] + m0[0] * err[1] + err[0] * err[1]) if starlike else float(err[0])
+        _, _, certs, p_abs, _ = _circle_pass(functional, rows, rho, m)
+        orders = slice(None) if starlike else slice(2, None)
+        glob = np.array(moments)[orders, :, None]
+        args = (certs, p_abs, err, err_all, FUNCTIONAL_BOUND[functional], m)
+        got = _arc_certificate(starlike, glob, *args)
+        assert got == _global_certificate(starlike, moments, *args)
+        poly = _arc_polynomials(rows, pw, moments, rho)[:, :, orders]
+        lower, _, zero_free, need = _arc_certificate(starlike, _arc_bounds(poly, glob, rho, m), *args)
+        assert lower >= got[0] and need <= got[3] and (zero_free or not got[2])
+
     def test_lower_bound_takes_each_arc_at_its_lesser_end(self):
         # m = 4 arcs: arcs 0 and 3 (which wraps round to sample 0) share the
         # dip 1, arcs 1 and 2 the dip 0; arc 0 sets the bound at its lesser

@@ -57,6 +57,23 @@ class TestBisect:
         with pytest.raises(ConfigurationError):
             probe_passes(ThresholdKind.F_STARLIKE, 1.0, 0.5, probe="nope")
 
+    def test_tolerance_below_the_double_spacing_stops(self, monkeypatch):
+        # with tol below the spacing of doubles at r the midpoint rounds to an
+        # end; the bisection stops at adjacent doubles instead of spinning
+        calls = []
+        real = probe_passes
+
+        def counted(*args):
+            calls.append(args[2])
+            if len(calls) > 300:
+                raise RuntimeError("bisection does not stop")
+            return real(*args)
+
+        monkeypatch.setattr("mathieu_geom.explorer.probe_passes", counted)
+        rec = bisect_failure_r(ThresholdKind.F_STARLIKE, 1.0, tol=1e-20)
+        assert rec.status == "ok" and probe_passes(ThresholdKind.F_STARLIKE, 1.0, rec.empirical_r)
+        assert not probe_passes(ThresholdKind.F_STARLIKE, 1.0, math.nextafter(rec.empirical_r, math.inf))
+
     def test_disk_probe_agrees_with_sequence(self):
         # the sequence criteria are sufficient conditions for the disk
         # functionals, so the disk failure radius cannot be smaller
