@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .params import ConfigurationError, DegeneratePointError, ParamSet, count
-from .series import CoefficientSeq, Family, SequenceBase, truncated_coeffs
+from .series import CoefficientSeq, Family, SequenceBase, cached_prefix, prefix_arrays, truncated_coeffs
 
 DEFAULT_TOLERANCE = 1e-9
 _SERIES_TAIL_TOL = 1e-12
@@ -41,6 +41,7 @@ _COEFF_CAP = 200_000  # most series terms, rounded up to a block end by truncate
 _ROUNDING = 1e-13
 _MAX_POINTS = 2**20  # most circle points; a check undecided there is Inconclusive
 _MAX_SLICE = 2**13   # most points per FFT: larger slices ran slower and use more memory
+_WEIGHTS: dict = {}  # rho -> (n-1, (n-1)^2, rho^(n-1)) at n = 1..2^k, for the last 4 radii
 
 
 class Functional(str, enum.Enum):
@@ -126,9 +127,9 @@ def _fold_eval(coeffs: np.ndarray, radii, m: int, of: int = 1):
     radius: shape (S, len(radii), m); the slices cover of*m points.  With
     C[q, k] = c_(qm+k+1) (zero-padded) and w = rad e^(2 pi i j/(of m)) the
     terms folded modulo m are (w^(mq) @ C) w^k: two real matmuls (the real
-    and imaginary parts of w^(mq)) and one FFT; at j = 0 the imaginary part
-    is zero and its product is skipped (the real product, summed from +0.0,
-    has no -0.0 for 1j * 0 to change).  Both products read strided views
+    and imaginary parts of w^(mq)) and one FFT; at j = 0, w^(mq) is rad^(mq)
+    and its zero imaginary part's product is skipped (the real product,
+    summed from +0.0, has no -0.0 for 1j * 0 to change).  Both products read strided views
     of the complex rows, so numpy runs its own loop, not OpenBLAS, which
     stalled in fresh processes and rounds differently."""
     s, n = coeffs.shape
@@ -136,13 +137,13 @@ def _fold_eval(coeffs: np.ndarray, radii, m: int, of: int = 1):
     c.reshape(s, -1)[:, :n] = coeffs
     q, k = np.arange(c.shape[1]), np.arange(m)
     rad = np.asarray(radii, dtype=float)[:, None]
-    rad_q, cols = rad ** (m * q), rad ** k
+    rad_q, cols = (rad ** (m * q)).astype(complex), rad ** k
     if of > 1:
         step = _turn(k, of * m)
     for j in range(of):
         if j:
             cols = cols * step
-        rows = rad_q * _turn(j * q, of)
+        rows = rad_q * _turn(j * q, of) if j else rad_q
         folded = rows.real @ c
         if j:
             folded = folded + 1j * (rows.imag @ c)
@@ -153,31 +154,38 @@ def _series(functional: Functional, seq: SequenceBase, rho: float):
     """Rows c_n of the series sum c_n z^(n-1) the functional is built from,
     all from one cut of a_n, by the rule for n a_n but in RatioHalfPlane:
     f/z (a_n) and f' (n a_n) for Starlike, (1-z) f' (n a_n - (n-1) a_(n-1))
-    for CloseToConvex, else one of f/z, f'.  Returns (rows, the tail bound
-    of each row at |z| = rho, (terms, tail majorant) of the cut)."""
+    for CloseToConvex, else one of f/z, f' (a view).  Returns (rows, the tail
+    bound of each row at |z| = rho, (terms, tail majorant) of the cut)."""
     ratio = functional is Functional.RATIO_HALFPLANE
     a, tail = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, not ratio)
-    c = a if ratio else np.arange(1, len(a) + 1) * a
-    rows, tails = [c], [tail]
+    n, tails = len(a), [tail]
+    c = a if ratio else prefix_arrays(n)[0] * a
     if functional is Functional.STARLIKE:
-        rows, tails = [a, c], [a[-1] * rho**len(a) / (1.0 - rho), tail]
-    elif functional is Functional.CLOSE_TO_CONVEX:
-        rows, tails = [np.diff(c, prepend=0.0, append=0.0)], [(1.0 + rho) * tail]
-    return np.array(rows), np.array(tails), (len(a), tail)
+        rows, tails = np.empty((2, n)), [a[-1] * rho**n / (1.0 - rho), tail]
+        rows[0], rows[1] = a, c
+    elif functional is Functional.CLOSE_TO_CONVEX:  # c_1, c_2 - c_1, ..., -c_N as np.diff forms them
+        rows, tails = np.empty((1, n + 1)), [(1.0 + rho) * tail]
+        rows[0, 0], rows[0, n] = c[0], 0.0 - c[-1]
+        np.subtract(c[1:], c[:-1], out=rows[0, 1:n])
+    else:
+        rows = c[None]
+    return rows, np.array(tails), (n, tail)
 
 
 def _moments(rows: np.ndarray, rho: float):
-    """M_j = sum_n |c_n| rho^(n-1) (n-1)^j of each row, for j = 0, 1, 2, one
-    product at a time, and the weights rho^(n-1) for _arc_polynomials."""
-    n = np.arange(rows.shape[1], dtype=float)  # n - 1
-    pw = rho**n
+    """M_j = sum_n |c_n| rho^(n-1) (n-1)^j of each row, for j = 0, 1, 2, and
+    the weights rho^(n-1) for _arc_polynomials.  n-1, (n-1)^2 (exact) and
+    rho^(n-1) are read-only prefixes kept per radius (`cached_prefix`); the
+    two products share one scratch array."""
+    n1, n1_sq, pw = cached_prefix(_WEIGHTS, rho, rows.shape[1],
+                                  lambda n: ((k := n - 1.0), k * k, rho**k), 4)
     weights = np.abs(rows)
     weights *= pw
     # elementwise sums: as a BLAS product (weights @ n) this stalled for
     # ~0.3 s in fresh processes under multi-threaded OpenBLAS
-    m0, m1 = weights.sum(axis=1), (weights * n).sum(axis=1)
-    n *= n  # exact, as n**2
-    return (m0, m1, (weights * n).sum(axis=1)), pw
+    scratch = weights * n1
+    m1 = scratch.sum(axis=1)
+    return (weights.sum(axis=1), m1, np.multiply(weights, n1_sq, out=scratch).sum(axis=1)), pw
 
 
 def _arc_polynomials(rows: np.ndarray, pw: np.ndarray, moments, rho: float):
@@ -275,11 +283,11 @@ def _lattice(functional: Functional, rows: np.ndarray, grid: DiskGrid):
 
 
 def _arc_certificate(starlike: bool, bounds, cert, p_abs, err, err_all: float, bound: float, m: int):
-    """(lower bound, its dip term, f/z zero-free, the m the margins ask for)
-    from bounds B_i of shape (orders, rows, arcs), or one arc for all arcs:
-    each arc's lesser end sample less B (pi/m)^2/2, B >= |g''| there
-    (Starlike: the product rule over f/z and f'), and |f/z| at it above its
-    error plus 2 pi B_1(f/z)/m."""
+    """(lower bound, its dip term, f/z zero-free, need() the m the margins
+    ask for) from bounds B_i of shape (orders, rows, arcs), or one arc for
+    all arcs: each arc's lesser end sample less B (pi/m)^2/2, B >= |g''|
+    there (Starlike: the product rule over f/z and f'), and |f/z| at it
+    above its error plus 2 pi B_1(f/z)/m."""
     half = (m + 1) // 2
 
     def lesser_end(x):  # of each arc, then of it and its mirror arc
@@ -296,13 +304,17 @@ def _arc_certificate(starlike: bool, bounds, cert, p_abs, err, err_all: float, b
     ends, dips = lesser_end(cert), k2 * (math.pi / m) ** 2 / 2.0
     low = ends - dips
     j = int(low.argmin())
-    margin = ends - err_all - bound
-    need = math.pi * math.sqrt((k2 / (2.0 * margin)).max()) if (margin > 0).all() else math.inf
     zero_free = True
     if starlike:
         gap, step = lesser_end(p_abs) - err[0], 2.0 * math.pi * b1[0]
         zero_free = bool((gap > step / m).all())
-        need = max(need, float((step / gap).max()) if (gap > 0).all() else math.inf)
+
+    def need() -> float:  # only an undecided pass asks
+        margin = ends - err_all - bound
+        asked = math.pi * math.sqrt((k2 / (2.0 * margin)).max()) if (margin > 0).all() else math.inf
+        if starlike:
+            asked = max(asked, float((step / gap).max()) if (gap > 0).all() else math.inf)
+        return asked
     return float(low.flat[j]) - err_all, float(dips.flat[j]), zero_free, need
 
 
@@ -348,14 +360,14 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
             min_value, argmin = float(vals[i]), complex(z[i])
         elif zero_free and lower > bound:
             status = DiskStatus.HOLDS
-        elif poly is None and _next_m(m, need, cap) > rows.shape[1]:
+        elif poly is None and _next_m(m, need(), cap) > rows.shape[1]:
             # the next pass would exceed the N terms: bound each arc, from this pass on
             poly = _arc_polynomials(rows, pw, moments, rho)[:, :, orders]
             continue
         elif m >= cap:
             status = DiskStatus.INCONCLUSIVE
         else:
-            m, certs = _next_m(m, need, cap), None
+            m, certs = _next_m(m, need(), cap), None
             continue
         return DiskReport(functional, status, min_value, bound, argmin, grid, terms, tail_bound,
                           m, disc, lower, winding if starlike else None)

@@ -85,20 +85,42 @@ def log_coeff_Q(lf: np.ndarray, inv_sq: np.ndarray, mu: float, r: float) -> np.n
     return lf + (mu + 1.0) * (math.log1p(r * r) - (2.0 * lf + np.log1p(r * r * inv_sq)))
 
 
-# family -> ((mu, r)-free parts of log a_n at n, log a_n from those parts)
-_PARTS = {Family.F: (lambda n: (np.log(n), np.square(n, dtype=float)), _log_coeff_F),
+# family -> ((mu, r)-free parts of log a_n at n, log a_n from those parts); None: the indices
+_PARTS = {None: (lambda n: (n,), None),
+          Family.F: (lambda n: (np.log(n), np.square(n, dtype=float)), _log_coeff_F),
           Family.Q: (Q_parts, log_coeff_Q)}
 
 
-@functools.lru_cache(maxsize=8)  # a sweep's 500 terms, the CLI's 200 and a few more
+_PREFIX_CAP = 2**13  # longest cached prefix: every disk cut at rho = 0.995 fits
+_PREFIXES: dict = {}  # family (None: the indices) -> its cached_prefix entry
+
+
+def cached_prefix(cache: dict, key, n_terms: int, build, keep: int) -> tuple[np.ndarray, ...]:
+    """build(n) at n = 1..N.  Up to N = _PREFIX_CAP: read-only views of an
+    entry [arrays, N, views] built at the least power of two >= N (so grown
+    by doubling) and kept for the last `keep` keys; a longer N builds its own."""
+    if n_terms > _PREFIX_CAP:
+        return build(np.arange(1, n_terms + 1))
+    entry = cache.get(key)
+    if entry is None or len(entry[0][0]) < n_terms:
+        arrays = build(np.arange(1, (1 << (n_terms - 1).bit_length()) + 1))
+        for a in arrays:
+            a.flags.writeable = False
+        entry = cache[key] = [arrays, 0, ()]
+        if len(cache) > keep:
+            del cache[next(iter(cache))]
+    entry[1:] = n_terms, tuple([a[:n_terms] for a in entry[0]])
+    return entry[2]
+
+
 def prefix_arrays(n_terms: int, family: Optional[Family] = None) -> tuple[np.ndarray, ...]:
     """(1..N,), or with a family the (mu, r)-free parts of its log a_n at
-    n = 1..N: read-only and built once per N, for every prefix read."""
-    n = prefix_arrays(n_terms)[0] if family else np.arange(1, n_terms + 1)
-    arrays = _PARTS[family][0](n) if family else (n,)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    n = 1..N: up to 2^13 terms, read-only prefixes of one array per family
+    (`cached_prefix`), for every prefix read and every block of a series cut."""
+    entry = _PREFIXES.get(family)  # the last views, without a call: a probe reads one N over and over
+    if entry and entry[1] == n_terms:
+        return entry[2]
+    return cached_prefix(_PREFIXES, family, n_terms, _PARTS[family][0], 3)
 
 
 def _log_coeff_shat(n: np.ndarray) -> np.ndarray:
@@ -175,13 +197,19 @@ class CoefficientSeq(SequenceBase):
 
     def log_values_at(self, n: np.ndarray) -> np.ndarray:
         n = np.asarray(n, dtype=np.int64)
-        # read()'s cached 1..N needs no check, and its parts are cached too
-        prefix = not n.flags.writeable and n is prefix_arrays(n.size)[0]
-        if not prefix and n.size and n.min() < 1:
+        # a contiguous slice of the cached indices needs no check, and its parts are cached too
+        cached, start = _PREFIXES.get(None), None
+        if cached and n is cached[2][0]:  # read()'s prefix
+            start = 0
+        elif cached and n.base is cached[0][0] and n.strides == (8,) and n.size:
+            start = int(n[0]) - 1
+        if start is None and n.size and n.min() < 1:
             raise ParameterDomainError("coefficient index must be >= 1")
         if self.family in _PARTS:
             parts, log_coeff = _PARTS[self.family]
-            known = prefix_arrays(n.size, self.family) if prefix else parts(n)
+            known = parts(n) if start is None else prefix_arrays(start + n.size, self.family)
+            if start:  # a later block of a cut
+                known = [p[start:] for p in known]
             return log_coeff(*known, self.params.mu, self.params.r)
         if self.family is Family.SHAT:
             return _log_coeff_shat(n.astype(float))
@@ -246,13 +274,13 @@ def truncated_coeffs(
     chunks = []
     prev_last = math.inf
     while n_done < n_max:
-        idx = np.arange(n_done + 1, n_done + block + 1)
+        start, n_done = n_done, n_done + block
+        idx = prefix_arrays(n_done)[0][start:] if n_done <= _PREFIX_CAP else np.arange(start + 1, n_done + 1)
         vals = seq.values_at(idx)
         chunks.append(vals)
         if index_weighted:
             vals = idx * vals
-        n_done += block
-        qualifies = bool(np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last and vals[-1] >= 0.0)
+        qualifies = bool((vals[1:] - vals[:-1] <= 0.0).all() and vals[0] <= prev_last and vals[-1] >= 0.0)
         prev_last = float(vals[-1])
         bound = prev_last * rho**n_done / (1.0 - rho) if qualifies else math.inf
         if bound < tol:

@@ -3,12 +3,14 @@ theorem fixtures."""
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mathieu_geom import diskcheck, series
 from mathieu_geom.diskcheck import (
     _COEFF_CAP,
     _MAX_POINTS,
@@ -382,6 +384,99 @@ class TestSeriesBudget:
         assert rep.holds and sum(reads) == rep.terms
 
 
+# The series cut, the rows and the moments as they were before the arrays
+# that (mu, r) does not change were kept across checks, kept verbatim as
+# oracles: each block builds its own indices and parts, each check its own
+# rho^(n-1).
+def _truncated_coeffs_blockwise(seq, rho, tol, n_max, index_weighted=False):
+    n_done = 0
+    block = 256
+    chunks = []
+    prev_last = math.inf
+    while n_done < n_max:
+        idx = np.arange(n_done + 1, n_done + block + 1)
+        vals = seq.values_at(idx)
+        chunks.append(vals)
+        if index_weighted:
+            vals = idx * vals
+        n_done += block
+        qualifies = bool(np.all(np.diff(vals) <= 0.0) and vals[0] <= prev_last and vals[-1] >= 0.0)
+        prev_last = float(vals[-1])
+        bound = prev_last * rho**n_done / (1.0 - rho) if qualifies else math.inf
+        if bound < tol:
+            return np.concatenate(chunks), bound
+        block = min(2 * block, 16384)
+    raise TruncationError(
+        f"series tail below {tol} not reached within {n_done} terms at |z|={rho}")
+
+
+def _rows_per_check(functional, a):
+    c = a if functional is Functional.RATIO_HALFPLANE else np.arange(1, len(a) + 1) * a
+    rows = [c]
+    if functional is Functional.STARLIKE:
+        rows = [a, c]
+    elif functional is Functional.CLOSE_TO_CONVEX:
+        rows = [np.diff(c, prepend=0.0, append=0.0)]
+    return np.array(rows)
+
+
+def _moments_per_check(rows, rho):
+    n = np.arange(rows.shape[1], dtype=float)  # n - 1
+    pw = rho**n
+    weights = np.abs(rows)
+    weights *= pw
+    m0, m1 = weights.sum(axis=1), (weights * n).sum(axis=1)
+    n *= n  # exact, as n**2
+    return (m0, m1, (weights * n).sum(axis=1)), pw
+
+
+class TestSharedPrefixes:
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from([Family.F, Family.Q]), functional=st.sampled_from(list(Functional)),
+           mu=st.floats(0.1, 10.0), r=st.floats(0.05, 10.0),
+           rho=st.one_of(st.floats(0.3, 0.9999), st.sampled_from([0.995, 0.999, 0.9999])))
+    @example(Family.F, Functional.CLOSE_TO_CONVEX, 0.7, 0.6, 0.9999)  # 212,736 terms
+    @example(Family.F, Functional.RATIO_HALFPLANE, 0.5, 0.5, 0.9999)  # 147,200 terms
+    @example(Family.F, Functional.RATIO_HALFPLANE, 0.1, 0.1, 0.9999)  # no cut within the cap
+    def test_cached_arrays_give_the_oracles_bits(self, family, functional, mu, r, rho):
+        seq = CoefficientSeq(family, ParamSet(mu, r))
+        weighted = functional is not Functional.RATIO_HALFPLANE
+        try:
+            want, want_tail = _truncated_coeffs_blockwise(seq, rho, 1e-12, _COEFF_CAP, weighted)
+        except TruncationError as exc:
+            with pytest.raises(TruncationError, match=re.escape(str(exc))):
+                truncated_coeffs(seq, rho, 1e-12, _COEFF_CAP, weighted)
+            return
+        a, tail = truncated_coeffs(seq, rho, 1e-12, _COEFF_CAP, weighted)
+        assert a.tobytes() == want.tobytes() and repr(tail) == repr(want_tail)
+        rows = _series(functional, seq, rho)[0]
+        old_rows = _rows_per_check(functional, want)
+        assert rows.shape == old_rows.shape and rows.tobytes() == old_rows.tobytes()
+        (moments, pw), (old_moments, old_pw) = _moments(rows, rho), _moments_per_check(old_rows, rho)
+        assert pw.tobytes() == old_pw.tobytes()
+        assert all(got.tobytes() == old.tobytes() for got, old in zip(moments, old_moments))
+
+    CHECKS = [(Functional.DERIV_HALFPLANE, Family.F, 1.0, 0.6), (Functional.STARLIKE, Family.Q, 3.2, 1.5),
+              (Functional.CLOSE_TO_CONVEX, Family.F, 0.4, 0.25), (Functional.RATIO_HALFPLANE, Family.Q, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("functional,family,mu,r", CHECKS)
+    def test_cold_caches_give_the_warm_report(self, functional, family, mu, r):
+        series._PREFIXES.clear()
+        diskcheck._WEIGHTS.clear()
+        cold = verify_functional(functional, family, ParamSet(mu, r), DiskGrid(8, 128, 0.995))
+        assert repr(verify_functional(functional, family, ParamSet(mu, r), DiskGrid(8, 128, 0.995))) == repr(cold)
+
+    def test_caches_stay_capped_and_read_only(self):
+        rep = verify_functional(Functional.CLOSE_TO_CONVEX, Family.F, ParamSet(0.7, 0.6), DiskGrid(4, 256, 0.9999))
+        assert rep.holds and rep.terms > 200_000
+        for rho in (0.5, 0.6, 0.7, 0.8, 0.9, 0.995):
+            verify_functional(Functional.STARLIKE, Family.Q, ParamSet(1.0, 1.0), DiskGrid(4, 64, rho))
+        assert len(diskcheck._WEIGHTS) <= 4 and 0.9999 not in diskcheck._WEIGHTS
+        entries = (*series._PREFIXES.values(), *diskcheck._WEIGHTS.values())
+        cached = [a for arrays, _, views in entries for a in (*arrays, *views)]
+        assert cached and all(len(a) <= 2**13 and not a.flags.writeable for a in cached)
+
+
 # The lattice evaluator as it was before the folded matmul, kept verbatim
 # as an oracle.
 def _grid_eval_per_radius(coeffs: np.ndarray, grid: DiskGrid) -> np.ndarray:
@@ -568,8 +663,8 @@ class TestArcBound:
            m=st.sampled_from([4, 5, 128, 16384]))
     def test_global_moments_for_every_arc_give_the_global_rule(self, family, functional, mu, r, rho, m):
         # the global moments as every arc's bound reproduce the scalar rule
-        # bit for bit; the per-arc bounds of the same pass certify no less
-        # and ask for no more points
+        # bit for bit, the m request (a function) included; the per-arc
+        # bounds of the same pass certify no less and ask for no more points
         starlike = functional is Functional.STARLIKE
         rows, tails, _ = _series(functional, CoefficientSeq(family, ParamSet(mu, r)), rho)
         moments, pw = _moments(rows, rho)
@@ -580,11 +675,12 @@ class TestArcBound:
         orders = slice(None) if starlike else slice(2, None)
         glob = np.array(moments)[orders, :, None]
         args = (certs, p_abs, err, err_all, FUNCTIONAL_BOUND[functional], m)
-        got = _arc_certificate(starlike, glob, *args)
-        assert got == _global_certificate(starlike, moments, *args)
+        *got, need = _arc_certificate(starlike, glob, *args)
+        got.append(need())
+        assert tuple(got) == _global_certificate(starlike, moments, *args)
         poly = _arc_polynomials(rows, pw, moments, rho)[:, :, orders]
         lower, _, zero_free, need = _arc_certificate(starlike, _arc_bounds(poly, glob, rho, m), *args)
-        assert lower >= got[0] and need <= got[3] and (zero_free or not got[2])
+        assert lower >= got[0] and need() <= got[3] and (zero_free or not got[2])
 
     def test_lower_bound_takes_each_arc_at_its_lesser_end(self):
         # m = 4 arcs: arcs 0 and 3 (which wraps round to sample 0) share the
