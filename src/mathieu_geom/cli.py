@@ -63,6 +63,10 @@ def _seq_from_flags(args) -> CoefficientSeq:
         raise ConfigurationError(f"--family {args.family} is not a power series: use eval")
     if args.mu is None and args.r is None:
         return CoefficientSeq(args.family)
+    if args.mu is None or args.r is None:
+        given = "--r" if args.mu is None else "--mu"
+        rule = "both --mu and --r, got only" if args.family in ("F", "Q") else "no --mu or --r, got"
+        raise ConfigurationError(f"--family {args.family} takes {rule} {given}")
     return CoefficientSeq(args.family, ParamSet(args.mu, args.r))
 
 

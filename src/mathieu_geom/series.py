@@ -14,7 +14,6 @@ log form is the only faithful representation at large n.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,27 +47,13 @@ def _log_coeff_F(log_n: np.ndarray, n_sq: np.ndarray, mu: float, r: float) -> np
     return log_n + (mu + 1.0) * (math.log1p(r * r) - np.log(n_sq + r * r))
 
 
-_LOG_FACTORIAL_TABLE = 4096
-
-
-@functools.cache
-def _log_factorials() -> np.ndarray:
-    """log k! = math.lgamma(k + 1.0) for k < _LOG_FACTORIAL_TABLE."""
-    return np.array([math.lgamma(k + 1.0) for k in range(_LOG_FACTORIAL_TABLE)])
-
-
 def log_factorial(x: float | np.ndarray) -> float | np.ndarray:
     """log Gamma(x+1) elementwise, log x! at integer x.  A scalar (a Python
-    number or 0-d array) gives math.lgamma(x + 1.0) as a float; an integer
-    array with 0 <= x < _LOG_FACTORIAL_TABLE reads a table built at first
-    use; any other array calls math.lgamma per element.  All give the same
-    bits."""
+    number or 0-d array) gives math.lgamma(x + 1.0) as a float, an array
+    math.lgamma per element: the same bits."""
     if np.ndim(x) == 0:
         return math.lgamma(x + 1.0)
-    x = np.asarray(x)
-    if x.dtype.kind in "iu" and x.min(initial=0) >= 0 and x.max(initial=0) < _LOG_FACTORIAL_TABLE:
-        return _log_factorials()[x]
-    shifted = x + 1.0
+    shifted = np.asarray(x) + 1.0
     return np.fromiter(map(math.lgamma, shifted.ravel().tolist()), float,
                        shifted.size).reshape(shifted.shape)
 

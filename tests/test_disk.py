@@ -182,7 +182,7 @@ class TestGridRobustness:
         seq = CoefficientSeq(Family.F, ParamSet(1.0, 1.0))
         grid = DiskGrid(16, 64, 0.99)
         rows, _, _ = _series(Functional.RATIO_HALFPLANE, seq, grid.max_radius)
-        vals = next(_fold_eval(rows, grid.radii(), grid.n_angles))[0].real
+        vals = _fold_eval(rows, grid.radii(), grid.n_angles)[0].real
         upper = vals[:, : 64 // 2 + 1]
         assert float(upper.min()) == pytest.approx(float(vals.min()), abs=1e-13)
         assert np.allclose(vals[:, 1:], vals[:, :0:-1], atol=1e-12)
@@ -200,6 +200,15 @@ class TestGridRobustness:
         with pytest.raises(DegeneratePointError) as exc_info:
             verify_functional(Functional.STARLIKE, seq, grid=DiskGrid(1, 4, 0.5))
         assert exc_info.value.point == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("family", [Family.F, Family.Q])
+    def test_tiny_radius_is_not_a_zero(self, family):
+        # |f| = |z| |f/z| is below 1e-14 on |z| = 1e-15, but the Starlike
+        # ratio divides by f/z, which is about 1 there
+        grid = DiskGrid(max_radius=1e-15)
+        rep = verify_functional(Functional.STARLIKE, family, ParamSet(1.0, 0.6), grid)
+        assert rep.status is DiskStatus.HOLDS and rep.winding == 0
+        assert rep.min_value == pytest.approx(1.0, abs=1e-13)
 
 
 class TestCsvDump:
@@ -514,7 +523,7 @@ class TestEvaluatorOracles:
                                                max_radius):
         coeffs = _coeffs(length, seed, decay)
         grid = DiskGrid(n_radii, n_angles, max_radius)
-        got = next(_fold_eval(coeffs[None], grid.radii(), n_angles))[0]
+        got = _fold_eval(coeffs[None], grid.radii(), n_angles)[0]
         want = _grid_eval_per_radius(coeffs, grid)
         assert got.shape == want.shape == (n_radii, n_angles)
         scale = np.abs(coeffs) @ grid.radii()[None, :] ** np.arange(length)[:, None]
@@ -522,24 +531,24 @@ class TestEvaluatorOracles:
 
     @settings(max_examples=40)
     @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
-           log_m=st.integers(2, 10), log_of=st.integers(1, 5),
+           log_m=st.integers(2, 10), log_of=st.integers(1, 7),
            rho=st.one_of(st.floats(0.01, 0.9999), st.sampled_from([0.999, 0.9999])))
     def test_slices_cover_the_whole_circle(self, length, seed, decay, log_m, log_of, rho):
-        # slice j of `of` holds the points j, j + of, ... of the whole circle
+        # with slices of m points, slice j of `of` holds the points j, j + of, ...
         coeffs = _coeffs(length, seed, decay)
         m, of = 2**log_m, 2**log_of
-        whole = next(_fold_eval(coeffs[None], [rho], m * of))[0, 0]
         scale = np.abs(coeffs) @ rho ** np.arange(length)
-        slices = list(_fold_eval(coeffs[None], [rho], m, of))
-        assert len(slices) == of
-        for j, part in enumerate(slices):
-            assert part.shape == (1, 1, m)
-            assert np.all(np.abs(part[0, 0] - whole[j::of]) <= 1e-13 * scale)
-
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diskcheck, "_MAX_SLICE", m * of)
+            whole = _fold_eval(coeffs[None], [rho], m * of)
+            mp.setattr(diskcheck, "_MAX_SLICE", m)
+            sliced = _fold_eval(coeffs[None], [rho], m * of)
+        assert sliced.shape == whole.shape == (1, 1, m * of)
+        assert np.all(np.abs(sliced - whole) <= 1e-13 * scale)
 
     @settings(max_examples=40)
     @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
-           n_radii=st.integers(1, 4), log_m=st.integers(2, 10), of=st.sampled_from([1, 2, 8]),
+           n_radii=st.integers(1, 4), log_m=st.integers(2, 10), of=st.sampled_from([1, 2, 8, 64]),
            zeros=st.booleans())
     def test_first_slice_has_the_bits_of_both_products(self, length, seed, decay, n_radii,
                                                        log_m, of, zeros):
@@ -554,8 +563,35 @@ class TestEvaluatorOracles:
         rows = radii[:, None] ** (m * np.arange(c.shape[1])) * np.exp(0j)
         want = np.fft.ifft((rows.real @ c + 1j * (rows.imag @ c)) * radii[:, None] ** np.arange(m),
                            axis=-1) * m
-        got = next(_fold_eval(coeffs, radii, m, of))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diskcheck, "_MAX_SLICE", m)
+            got = _fold_eval(coeffs, radii, m * of)[..., ::of]
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("functional", list(Functional))
+    @pytest.mark.parametrize("seq,rho,m,winding", [
+        (FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, -2.0, 0.0))), 0.9, 256, 1),
+        (CoefficientSeq(Family.F, ParamSet(1.0, 1.0)), 0.99, 1024, 0),
+    ])
+    def test_sliced_pass_is_the_unsliced_pass(self, functional, seq, rho, m, winding):
+        # z - 2 z^2: f/z = 1 - 2z has its zero 1/2 inside the circle.  The
+        # least value, its point (or its conjugate, a tie under real
+        # coefficients), the winding and the certified arrays do not depend
+        # on slicing
+        rows, _, _ = _series(functional, seq, rho)
+        want = _circle_pass(functional, rows, rho, m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diskcheck, "_MAX_SLICE", m // 8)
+            got = _circle_pass(functional, rows, rho, m)
+        scale = 1e-12 * (1.0 + np.abs(rows).sum()) ** 2
+        assert got[0] == pytest.approx(want[0], abs=scale)
+        assert min(abs(got[1] - want[1]), abs(got[1] - want[1].conjugate())) < 1e-12
+        assert got[4] == want[4] == (winding if functional is Functional.STARLIKE else 0)
+        assert np.all(np.abs(got[2] - want[2]) <= scale)
+        if functional is Functional.STARLIKE:
+            assert np.all(np.abs(got[3] - want[3]) <= scale)
+        else:
+            assert got[3] is want[3] is None
 
 
 class TestPolishedLongSeries:
@@ -642,7 +678,7 @@ class TestArcBound:
         moments, pw = _moments(rows, rho)
         poly = _arc_polynomials(rows, pw, moments, rho)
         bounds = _arc_bounds(poly, np.array(moments)[:, :, None], rho, m)
-        circle = next(_fold_eval(rows, [rho], dense * m))[:, 0]
+        circle = _fold_eval(rows, [rho], dense * m)[:, 0]
         delta, err = 2.0 * math.pi / (dense * m), 1e-13 * moments[0][:, None]
         for j in (min(int(arc * m), m - 1), 1, m - 2):  # a random arc and the two next to theta = 0
             s = circle[:, (dense * j + np.arange(dense + 1)) % (dense * m)]
