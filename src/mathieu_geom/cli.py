@@ -61,12 +61,12 @@ def parse_complex(text: str) -> complex:
 def _seq_from_flags(args) -> CoefficientSeq:
     if args.family in ("S", "S-integral"):
         raise ConfigurationError(f"--family {args.family} is not a power series: use eval")
-    if args.mu is None and args.r is None:
-        return CoefficientSeq(args.family)
     if args.mu is None or args.r is None:
+        seq = CoefficientSeq(args.family)  # F and Q raise: they require both
+        if args.mu is None and args.r is None:
+            return seq
         given = "--r" if args.mu is None else "--mu"
-        rule = "both --mu and --r, got only" if args.family in ("F", "Q") else "no --mu or --r, got"
-        raise ConfigurationError(f"--family {args.family} takes {rule} {given}")
+        raise ConfigurationError(f"--family {args.family} takes no --mu or --r, got {given}")
     return CoefficientSeq(args.family, ParamSet(args.mu, args.r))
 
 

@@ -453,8 +453,8 @@ class TestUsageErrors:
         (["coeffs", "--family", "DoubleFactorial", "--r", "1"], "takes no --mu or --r, got --r"),
         (["verify", "--criterion", "ozaki", "--family", "SHat", "--mu", "2"], "takes no --mu or --r, got --mu"),
         (["eval", "--family", "SHat", "--z", "0.5", "--mu", "1"], "takes no --mu or --r, got --mu"),
-        (["coeffs", "--family", "F", "--mu", "1"], "takes both --mu and --r, got only --mu"),
-        (["verify", "--family", "Q", "--r", "1", "--functional", "starlike"], "takes both --mu and --r, got only --r"),
+        (["coeffs", "--family", "F", "--mu", "1"], "family F requires (mu, r)"),
+        (["verify", "--family", "Q", "--r", "1", "--functional", "starlike"], "family Q requires (mu, r)"),
     ])
     def test_bad_value_names_its_flag(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)

@@ -1,13 +1,14 @@
 """Replay the benchmark's recorded jobs on two source trees and compare
 their outputs bit for bit.
 
-    python tools/replay.py [--against REV] [--workload W] [--sample K] [--seed S]
+    python tools/replay.py [--against REV] [--workload W] [--sample K]
 
-Every job of perfbench/reference.json (or K of each workload, drawn with
---seed) runs in child processes on the working tree and on a second tree:
-`git archive REV` unpacked into a temporary directory with --against, else
-the working tree again, which shows whether the outputs are deterministic.
-An output is
+Every job of perfbench/reference.json (or K of each workload, drawn with a
+fixed seed) runs in child processes on the working tree and on a second
+tree: `git archive REV` unpacked into a temporary directory with
+--against, else the working tree again, which shows whether the outputs
+are deterministic.  Each tree runs a job the way its own
+perfbench/workloads.py does.  An output is
 
 * disk-ledger: the repr of the DiskReport or CriterionReport a job returns,
 * sweep-sequence: a row's status and repr(empirical_r),
@@ -15,9 +16,10 @@ An output is
 
 or the name and message of the package error a job raised.  A job is
 identical when both outputs are equal, moved when they differ, and failed
-when either side crashed (an exception that is not a package error, or a
-child process that died).  Prints the counts per workload and the first
-differences; exits 1 if anything moved or failed.
+when either side crashed (an exception that is not a package error, a
+traceback, or a child process that died or was killed).  Prints the
+counts per workload and the first differences; exits 1 if anything moved
+or failed.
 """
 
 from __future__ import annotations
@@ -35,38 +37,32 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.json"
 WORKLOADS = ["disk-ledger", "sweep-sequence", "cli-cold"]
 SHOWN = 3  # differences printed per workload
+SAMPLE_SEED = 0  # draws --sample
 
 
 # --- child side: one interpreter runs one in-process workload ---------------
 
-def _run_job(workload: str, job: dict) -> str:
-    from mathieu_geom import diskcheck, explorer, thresholds
-    from mathieu_geom.params import ParamSet
+def child(workload: str, tree: str) -> None:
+    """Read jobs as JSON on stdin, run each through `tree`'s own benchmark
+    workload, and write [kind, output] per job as JSON on stdout, kind "ok",
+    "error" (a package error) or "crash"."""
+    sys.path.insert(0, os.path.join(tree, "perfbench"))  # the package comes from PYTHONPATH
+    import workloads
 
-    if workload == "sweep-sequence":
-        rec = explorer.bisect_failure_r(job["kind"], job["mu"], probe="sequence")
-        return f"{rec.status} {rec.empirical_r!r}"
-    if "case" in job:
-        return repr(thresholds.verify_inequality(job["case"], job["samples"], job["seed"]))
-    grid = diskcheck.DiskGrid(job["n_radii"], job["n_angles"], job["max_radius"])
-    return repr(diskcheck.verify_functional(job["functional"], job["family"],
-                                            ParamSet(job["mu"], job["r"]), grid))
-
-
-def child(workload: str, src: str) -> None:
-    """Read jobs as JSON on stdin, write [kind, output] per job as JSON on
-    stdout, kind "ok", "error" (a package error) or "crash"."""
-    sys.path.insert(0, src)
-    from mathieu_geom.params import MathieuGeomError
-
+    runner = workloads.make(workload, Path.cwd())
     outputs = []
     for job in json.load(sys.stdin):
         try:
-            outputs.append(["ok", _run_job(workload, job)])
-        except MathieuGeomError as exc:
-            outputs.append(["error", f"{type(exc).__name__}: {exc}"])
+            out = runner.run(job)
         except Exception as exc:  # noqa: BLE001 - a crash is an outcome to report
             outputs.append(["crash", f"{type(exc).__name__}: {exc}"])
+            continue
+        if out.raised:
+            outputs.append(["error", f"{out.verdict['error']}: {out.detail}"])
+        elif workload == "sweep-sequence":
+            outputs.append(["ok", f"{out.payload.status} {out.payload.empirical_r!r}"])
+        else:
+            outputs.append(["ok", repr(out.payload)])
     json.dump(outputs, sys.stdout)
 
 
@@ -83,10 +79,10 @@ def run_workload(tree: Path, workload: str, jobs: list[dict], work_dir: str) -> 
         for job in jobs:
             proc = subprocess.run([sys.executable, "-m", "mathieu_geom.cli", *job["argv"]], cwd=work_dir,
                                   env=_env(tree), capture_output=True, text=True)
-            crashed = "Traceback (most recent call last)" in proc.stderr
+            crashed = proc.returncode < 0 or "Traceback (most recent call last)" in proc.stderr
             outputs.append(["crash" if crashed else "ok", f"exit {proc.returncode}\n{proc.stdout}"])
         return outputs
-    proc = subprocess.run([sys.executable, __file__, "--child", workload, str(tree / "src")], cwd=work_dir,
+    proc = subprocess.run([sys.executable, __file__, "--child", workload, str(tree)], cwd=work_dir,
                           env=_env(tree), input=json.dumps(jobs), capture_output=True, text=True)
     if proc.returncode:
         return [["crash", f"child exited {proc.returncode}: {proc.stderr.strip()[-500:]}"]] * len(jobs)
@@ -126,20 +122,18 @@ def _shown(a: list[str], b: list[str], width: int = 300) -> tuple[str, str]:
     return cut(x), cut(y)
 
 
-def _sample(jobs: list[dict], k: int | None, seed: int) -> list[dict]:
+def _sample(jobs: list[dict], k: int | None) -> list[dict]:
     if k is None or k >= len(jobs):
         return jobs
-    return [jobs[i] for i in sorted(random.Random(seed).sample(range(len(jobs)), k))]
+    return [jobs[i] for i in sorted(random.Random(SAMPLE_SEED).sample(range(len(jobs)), k))]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="git revision to compare with (default: the working tree)")
-    parser.add_argument("--workload", choices=WORKLOADS, action="append",
-                        help="workload to replay; repeatable (default: all three)")
+    parser.add_argument("--workload", choices=WORKLOADS, help="workload to replay (default: all three)")
     parser.add_argument("--sample", type=int, metavar="K", help="replay K jobs of each workload (default: all)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the --sample draw")
-    parser.add_argument("--child", nargs=2, metavar=("WORKLOAD", "SRC"), help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, metavar=("WORKLOAD", "TREE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         child(*args.child)
@@ -151,8 +145,8 @@ def main(argv: list[str] | None = None) -> int:
         other = _archive(args.against, os.path.join(tmp, "tree")) if args.against else ROOT
         work_dir = os.path.join(tmp, "cwd")
         os.mkdir(work_dir)
-        for workload in args.workload or WORKLOADS:
-            jobs = _sample(reference[workload], args.sample, args.seed)
+        for workload in [args.workload] if args.workload else WORKLOADS:
+            jobs = _sample(reference[workload], args.sample)
             counts, diffs = compare(jobs, run_workload(ROOT, workload, jobs, work_dir),
                                     run_workload(other, workload, jobs, work_dir))
             clean = clean and not diffs
