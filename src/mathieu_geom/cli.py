@@ -13,8 +13,8 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from enum import Enum
 
@@ -40,27 +40,46 @@ from .thresholds import (
 )
 
 _FUNCTIONAL_NAMES = {f.name.lower().replace("_", "-"): f for f in Functional}
-# the syntax of float() and complex(), so that text failing them is a usage
-# error; re compiles each pattern at its first use, not at import
-_D = r"\d(_?\d)*"
-_REAL = rf"(({_D}\.?({_D})?|\.{_D})(e[+-]?{_D})?|inf(inity)?|nan)"
-_FLOAT = rf"(?i)\s*[+-]?{_REAL}\s*"
-_COMPLEX = rf"(?i)\s*(\(\s*)?[+-]?({_REAL}([+-]{_REAL}?j)?|{_REAL}?j)(?(1)\s*\))\s*"
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigurationError, which main prints as one line."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
 def parse_complex(text: str) -> complex:
     """Parse --z in Python complex syntax, with a trailing i also read as j:
     'a+bi', 'a', 'bi', '-i'; spaces are ignored."""
     z = text.replace(" ", "")
-    z = z[:-1] + "j" if z.endswith("i") else z
-    if not re.fullmatch(_COMPLEX, z):
-        raise ConfigurationError(f"--z must be a complex number like 0.5+0.25i, got {text!r}")
-    return complex(z)
+    return complex(z[:-1] + "j" if z.endswith("i") else z)
+
+
+def float_list(text: str) -> list[float]:
+    """Parse --mu-grid: comma-separated numbers."""
+    return [float(m) for m in text.split(",")]
+
+
+def kind_list(text: str) -> list[ThresholdKind]:
+    """Parse --kinds: 'all' or a comma-separated list of ThresholdKind values."""
+    names = [k.value for k in ThresholdKind]
+    chosen = names if text == "all" else text.split(",")
+    if not set(chosen) <= set(names):
+        raise argparse.ArgumentTypeError(f"takes all or some of {','.join(names)}, got {text!r}")
+    return [ThresholdKind(k) for k in chosen]
+
+
+@contextmanager
+def _writing(flag: str):
+    """An OSError while writing the path of flag is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"argument {flag}: {exc}") from exc
 
 
 def _seq_from_flags(args) -> CoefficientSeq:
-    if args.family in ("S", "S-integral"):
-        raise ConfigurationError(f"--family {args.family} is not a power series: use eval")
     if args.mu is None or args.r is None:
         seq = CoefficientSeq(args.family)  # F and Q raise: they require both
         if args.mu is None and args.r is None:
@@ -94,7 +113,7 @@ def _emit(payload: dict | list, rows: list[dict], args) -> None:
     else:  # human lines the command rendered itself
         out = "\n".join(payload)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing("--out"), open(args.out, "w") as fh:
             fh.write(out + "\n")
     else:
         print(out)
@@ -131,7 +150,7 @@ def cmd_eval(args) -> int:
     elif args.z is None:
         raise MathieuGeomError("power-series families require --z")
     else:
-        payload = report_dict(eval_series(_seq_from_flags(args), parse_complex(args.z), args.tol))
+        payload = report_dict(eval_series(_seq_from_flags(args), args.z, args.tol))
     _emit(payload, [payload], args)
     return 0
 
@@ -144,10 +163,6 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    chosen = [bool(args.criterion), bool(args.functional), bool(args.inequality)]
-    if sum(chosen) != 1:
-        raise MathieuGeomError(
-            "choose exactly one of --criterion, --functional, --inequality")
     if args.criterion:
         rep = run_criterion(args.criterion, _seq_from_flags(args), args.terms)
     elif args.functional:
@@ -156,7 +171,8 @@ def cmd_verify(args) -> int:
         functional = _FUNCTIONAL_NAMES[args.functional]
         rep = verify_functional(functional, seq, grid=grid)
         if args.dump_grid:
-            dump_grid_csv(functional, seq, None, grid, args.dump_grid)
+            with _writing("--dump-grid"):
+                dump_grid_csv(functional, seq, None, grid, args.dump_grid)
     else:
         rep = verify_inequality(args.inequality, args.samples, args.seed)
     payload = report_dict(rep)
@@ -164,34 +180,16 @@ def cmd_verify(args) -> int:
     return {"Verified": 0, "Holds": 0, "Inconclusive": 3}.get(rep.status.value, 1)
 
 
-def _parse_kinds(text: str) -> list[ThresholdKind]:
-    """'all' or a comma-separated list of ThresholdKind values."""
-    if text == "all":
-        return list(ThresholdKind)
-    names = [k.value for k in ThresholdKind]
-    if not set(text.split(",")) <= set(names):
-        raise ConfigurationError(f"--kinds takes all or some of {','.join(names)}, got {text!r}")
-    return [ThresholdKind(k) for k in text.split(",")]
-
-
-def _parse_mu_grid(args) -> list[float]:
-    if not all(re.fullmatch(_FLOAT, m) for m in args.mu_grid.split(",")):
-        raise ConfigurationError(f"--mu-grid takes comma-separated numbers, got {args.mu_grid!r}")
-    return [float(m) for m in args.mu_grid.split(",")]
-
-
 def cmd_thresholds(args) -> int:
-    pairs = hypothesis_pairs(_parse_kinds(args.kinds), _parse_mu_grid(args))
     rows = [{"kind": kind.value, "mu": mu, "sufficient_r": threshold(kind, mu)}
-            for kind, mu in pairs]
+            for kind, mu in hypothesis_pairs(args.kinds, args.mu_grid)]
     _emit({"thresholds": rows}, rows, args)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    records = sweep(_parse_kinds(args.kinds), _parse_mu_grid(args), probe=args.probe,
-                    r_hi=args.r_hi, tol=args.tol, n_terms=args.terms,
-                    grid=_grid_from_flags(args))
+    records = sweep(args.kinds, args.mu_grid, probe=args.probe, r_hi=args.r_hi, tol=args.tol,
+                    n_terms=args.terms, grid=_grid_from_flags(args))
     rows = [report_dict(rec) for rec in records]
     _emit(rows, rows, args)
     return 0
@@ -213,7 +211,7 @@ def cmd_examples(args) -> int:
 
 def cmd_theorems(args) -> int:
     levels = ("sequence", "disk") if args.level == "both" else (args.level,)
-    rows = theorem_matrix(_parse_mu_grid(args), n_terms=args.terms,
+    rows = theorem_matrix(args.mu_grid, n_terms=args.terms,
                           grid=_grid_from_flags(args), levels=levels)
     human = [f"{'PASS' if row['pass'] else 'FAIL'} {row['kind']:>18s} "
              f"mu={row['mu']:<6g} r={row['r']:.6f}" for row in rows]
@@ -226,9 +224,8 @@ def _add_common_output(p):
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
-def _add_family_flags(p):
-    p.add_argument("--family", default="F",
-                   choices=["F", "Q", "SHat", "DoubleFactorial", "S", "S-integral"])
+def _add_family_flags(p, *extra):
+    p.add_argument("--family", default="F", choices=[f.value for f in Family] + list(extra))
     p.add_argument("--mu", type=float)
     p.add_argument("--r", type=float)
 
@@ -240,7 +237,7 @@ def _add_grid_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mathieu-geom",
         description="Evaluate generalized Mathieu power series and verify "
                     "their geometric mapping properties on the unit disk.",
@@ -248,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a series at a point")
-    _add_family_flags(p)
-    p.add_argument("--z", help="evaluation point, e.g. 0.5+0.25i")
+    _add_family_flags(p, "S", "S-integral")
+    p.add_argument("--z", type=parse_complex, help="evaluation point, e.g. 0.5+0.25i")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common_output(p)
     p.set_defaults(func=cmd_eval)
@@ -262,9 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one criterion/functional/inequality")
     _add_family_flags(p)
-    p.add_argument("--criterion", choices=list(CRITERIA))
-    p.add_argument("--functional", choices=sorted(_FUNCTIONAL_NAMES))
-    p.add_argument("--inequality", choices=sorted(INEQUALITY_CASES))
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--criterion", choices=list(CRITERIA))
+    mode.add_argument("--functional", choices=sorted(_FUNCTIONAL_NAMES))
+    mode.add_argument("--inequality", choices=sorted(INEQUALITY_CASES))
     p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
@@ -276,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("thresholds", help="closed-form sufficient radii")
-    p.add_argument("--kinds", default="all")
-    p.add_argument("--mu-grid", default="0.5,1,2,5")
+    p.add_argument("--kinds", type=kind_list, default="all")
+    p.add_argument("--mu-grid", type=float_list, default="0.5,1,2,5")
     _add_common_output(p)
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("sweep", help="bisect empirical failure radii")
-    p.add_argument("--kinds", default="all")
-    p.add_argument("--mu-grid", default="0.5,1,2,5")
+    p.add_argument("--kinds", type=kind_list, default="all")
+    p.add_argument("--mu-grid", type=float_list, default="0.5,1,2,5")
     p.add_argument("--probe", choices=["sequence", "disk"], default="sequence")
     p.add_argument("--r-hi", type=float)
     p.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL)
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_examples)
 
     p = sub.add_parser("theorems", help="run the full theorem matrix")
-    p.add_argument("--mu-grid", default="0.5,1,2,5")
+    p.add_argument("--mu-grid", type=float_list, default="0.5,1,2,5")
     p.add_argument("--level", choices=["sequence", "disk", "both"], default="both")
     p.add_argument("--terms", type=int, default=DEFAULT_TERMS)
     _add_grid_flags(p)
@@ -310,9 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MathieuGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -246,13 +246,13 @@ def _values(functional: Functional, series: np.ndarray, point):
     """The functional, the quantity certified for it and |f/z| (Starlike,
     else None), from its series' values.  Starlike divides by f/z, so it
     raises DegeneratePointError at point(i), i the flat index of the least
-    |f/z|, if below 1e-14."""
+    |f/z|, if below 1e-14 times the largest, whatever the scale of f."""
     if functional is not Functional.STARLIKE:
         return series[0].real, series[0].real, None
     p, d = series
     p_abs = np.abs(p)
     i = int(np.argmin(p_abs))
-    if p_abs.flat[i] < 1e-14:
+    if p_abs.flat[i] < 1e-14 * p_abs.max():
         raise DegeneratePointError("function vanishes at a sample point; "
                                    "starlikeness ratio undefined", point=complex(point(i)))
     return (d / p).real, (d * p.conj()).real, p_abs

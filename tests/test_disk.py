@@ -201,6 +201,15 @@ class TestGridRobustness:
             verify_functional(Functional.STARLIKE, seq, grid=DiskGrid(1, 4, 0.5))
         assert exc_info.value.point == pytest.approx(0.5)
 
+    def test_scaled_function_is_not_a_zero(self):
+        # |f/z| = 1e-15 everywhere for f(z) = 1e-15 z, whose z f'/f is 1 as for
+        # f(z) = z; an absolute 1e-14 once called it degenerate
+        seq = FunctionSequence(lambda n: np.where(n == 1, 1e-15, 0.0))
+        rep = verify_functional(Functional.STARLIKE, seq, grid=DiskGrid(4, 16, 0.5))
+        assert rep.status is DiskStatus.HOLDS and (rep.m, rep.winding) == (16, 0)
+        assert rep.min_value == pytest.approx(1.0, abs=1e-13)
+        assert 0.0 < rep.lower_bound <= 1e-30
+
     @pytest.mark.parametrize("family", [Family.F, Family.Q])
     def test_tiny_radius_is_not_a_zero(self, family):
         # |f| = |z| |f/z| is below 1e-14 on |z| = 1e-15, but the Starlike
