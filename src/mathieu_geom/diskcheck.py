@@ -102,7 +102,7 @@ class DiskReport:
     tail_bound: float   # that cut's tail majorant, by its rule (see _series)
     m: int              # circle points of the deciding pass
     discretisation_bound: float  # B (pi/m)^2 / 2 of the arc setting lower_bound, B <= global M_2
-    lower_bound: float  # least certified sample minus both error terms
+    lower_bound: float  # least certified sample minus both error terms (Starlike: rows scaled by 2^-e)
     winding: Optional[int]  # Starlike: discrete winding number of f/z on the circle
 
     @property
@@ -168,15 +168,20 @@ def _series(functional: Functional, seq: SequenceBase, rho: float):
     """Rows c_n of the series sum c_n z^(n-1) the functional is built from,
     all from one cut of a_n, by the rule for n a_n but in RatioHalfPlane:
     f/z (a_n) and f' (n a_n) for Starlike, (1-z) f' (n a_n - (n-1) a_(n-1))
-    for CloseToConvex, else one of f/z, f' (a view).  Returns (rows, the tail
-    bound of each row at |z| = rho, (terms, tail majorant) of the cut)."""
+    for CloseToConvex, else one of f/z, f' (a view).  Starlike's rows and
+    tails are scaled exactly by 2^-e, e = round(log2 max |a_n|) (0 if that
+    is 0 or not finite), so Re(f' conj(f/z)) neither overflows nor
+    underflows with the scale of f.  Returns (rows, the tail bound of each
+    row at |z| = rho, (terms, tail majorant) of the cut)."""
     ratio = functional is Functional.RATIO_HALFPLANE
     a, tail = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, not ratio)
     n, tails = len(a), [tail]
     c = a if ratio else prefix_arrays(n)[0] * a
     if functional is Functional.STARLIKE:
-        rows, tails = np.empty((2, n)), [a[-1] * rho**n / (1.0 - rho), tail]
-        rows[0], rows[1] = a, c
+        top = float(np.abs(a).max())
+        e = round(math.log2(top)) if 0.0 < top < math.inf else 0
+        rows = np.ldexp(np.stack([a, c]), -e)
+        tails = [math.ldexp(t, -e) for t in (a[-1] * rho**n / (1.0 - rho), tail)]
     elif functional is Functional.CLOSE_TO_CONVEX:  # c_1, c_2 - c_1, ..., -c_N as np.diff forms them
         rows, tails = np.empty((1, n + 1)), [(1.0 + rho) * tail]
         rows[0, 0], rows[0, n] = c[0], 0.0 - c[-1]

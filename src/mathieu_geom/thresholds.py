@@ -11,7 +11,7 @@ each checked here by dense stratified sampling of its constraint box
 array; the ledger margins (the psi and psi' bounds among them) map
 a dict of column arrays to an array, so the sampled points of a box are
 scored in blocks of 2^14, a few numpy passes each, with array memory near
-2.5 MiB whatever the sample count.  The sampler reports the minimum margin
+2.0 MiB whatever the sample count.  The sampler reports the minimum margin
 and its location so the sharpness of each estimate is visible; it
 verifies, it does not prove.
 """
@@ -78,10 +78,10 @@ def threshold(kind: ThresholdKind | str, mu: float) -> float:
 
 def hypothesis_pairs(kinds, mu_grid) -> list[tuple[ThresholdKind, float]]:
     """(kind, mu) pairs of kinds x mu_grid, kind-major, minus those whose mu
-    is below the kind's MU_MIN.  Only that rule drops a pair: a NaN or
-    non-positive mu is kept for `threshold` to reject."""
+    is > 0 but below the kind's MU_MIN.  Only that rule drops a pair: a NaN,
+    infinite or non-positive mu is kept for `threshold` to reject."""
     return [(kind, mu) for kind in kinds for mu in mu_grid
-            if not mu < MU_MIN.get(kind, 0.0)]
+            if not 0 < mu < MU_MIN.get(kind, 0.0)]
 
 
 # --- digamma / trigamma -----------------------------------------------------
@@ -367,8 +367,9 @@ _SOBOL_BITS = 30
 # primitive polynomial (coefficient bits) and initial m_1..m_s of
 # dimensions 2-4; dimension 1 has m_k = 1 throughout
 _JOE_KUO = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
-# sample rows per block of the ledger pass: its arrays stay near 2.5 MiB
-# (eq-total, 4 dimensions) whatever the sample count
+# Sobol points per block of the ledger pass: its arrays stay near 2.0 MiB
+# (eq-total, 4 dimensions) whatever the sample count.  A power of two, since
+# gray(w + j) = gray(w) xor gray(j) for j < _BLOCK needs w a multiple of it
 _BLOCK = 2**14
 
 
@@ -426,70 +427,61 @@ def _gray_xor(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _unit_blocks(d: int, n_face: int, seed: int, start: int, stop: int):
-    """Rows [start, stop) of the stratified sample of the unit d-cube: the
+def _unit_blocks(d: int, n_face: int, seed: int, total: int):
+    """The `total` rows of the stratified sample of the unit d-cube: the
     2^d corners, then one scrambled Sobol run that fills the faces (dim k
     pinned to 0, then to 1, n_face points each, for each k in turn) and
-    then the interior.  Yields them as (n, d) blocks of _BLOCK rows, the
-    last one shorter; every block is a view of one buffer, with contiguous
-    columns, that the next block overwrites.
+    then the interior.  Yields one (n, d) block per window of _BLOCK points
+    of the run, the corners ahead of the first and the last window maybe
+    shorter; every block is a view of one buffer, with contiguous columns,
+    that the next block overwrites.
 
-    Points come from one table of points 0..2^p-1 (2^p the least power of
-    two >= the block length): for j < 2^p, gray(w 2^p + j) = gray(w 2^p)
-    xor gray(j), so window w of the run is that table xor one constant,
-    and a block spans at most two windows."""
-    corners = 2 ** d
-    if stop - corners > 2 ** _SOBOL_BITS:
+    Points come from one table of points 0..min(_BLOCK, n)-1 of the run:
+    for j < _BLOCK and w a multiple of it, gray(w + j) = gray(w) xor
+    gray(j), so window w is that table xor one constant."""
+    corners, n = 2 ** d, total - 2 ** d
+    if n > 2 ** _SOBOL_BITS:
         raise ConfigurationError(
             f"the Sobol generator gives at most 2**{_SOBOL_BITS} points, "
-            f"{stop - corners} were asked for")
+            f"{n} were asked for")
     if d > len(_SOBOL_V):
         raise ConfigurationError(
             f"the Sobol generator has {len(_SOBOL_V)} dimensions, {d} were asked for")
     shift, v = _scramble(d, seed)
-    corner_rows = np.array(list(itertools.product((0.0, 1.0), repeat=d))).T
-    unit = np.empty((d, min(_BLOCK, stop - start)))
-    p = max(unit.shape[1] - 1, 0).bit_length()
     # point k is point k-1 xor the direction number of bit ctz(k), and
-    # ctz(k) = b exactly at k = 2^b mod 2^(b+1); a run that ends inside
-    # window 0 reads the table only up to its end
-    base = np.empty((d, min(1 << p, max(stop - corners, 0))), dtype=np.uint32)
+    # ctz(k) = b exactly at k = 2^b mod 2^(b+1)
+    base = np.empty((d, min(_BLOCK, n)), dtype=np.uint32)
     base[:, :1] = shift[:, None]
-    for b in range(p):
+    for b in range(base.shape[1].bit_length()):
         base[:, 1 << b::2 << b] = v[:, b, None]
     np.bitwise_xor.accumulate(base, axis=1, out=base)
-    for r0 in range(start, stop, _BLOCK):
-        out = unit[:, :min(_BLOCK, stop - r0)]
-        head = min(max(corners - r0, 0), out.shape[1])  # corner rows of the block
-        out[:, :head] = corner_rows[:, r0:r0 + head]
-        k0 = r0 + head - corners  # Sobol index of the block's first other row
-        k1 = k0 + out.shape[1] - head
-        for w0 in range(k0 >> p << p, k1, 1 << p):  # windows meeting [k0, k1)
-            lo, hi = max(k0, w0), min(k1, w0 + (1 << p))
-            seg, c = base[:, lo - w0:hi - w0], _gray_xor(v, w0)[:, None]
-            seg ^= c  # the window's points, in place; the second xor restores the table
-            np.multiply(seg, 2.0 ** -_SOBOL_BITS, out=out[:, head + lo - k0:head + hi - k0])
-            seg ^= c
+    unit = np.empty((d, corners + base.shape[1]))
+    unit[:, :corners] = np.array(list(itertools.product((0.0, 1.0), repeat=d))).T
+    for w in range(0, n, _BLOCK):
+        seg, c = base[:, :n - w], _gray_xor(v, w)[:, None]
+        out = unit[:, corners:corners + seg.shape[1]]
+        seg ^= c  # the window's points, in place; the second xor restores the table
+        np.multiply(seg, 2.0 ** -_SOBOL_BITS, out=out)
+        seg ^= c
         for f in range(2 * d):  # face f pins dim f // 2 to f % 2
-            lo, hi = max(f * n_face, k0), min((f + 1) * n_face, k1)
-            if lo < hi:
-                out[f // 2, head + lo - k0:head + hi - k0] = f % 2
-        yield out.T
+            out[f // 2, max(f * n_face - w, 0):max((f + 1) * n_face - w, 0)] = f % 2
+        yield unit[:, corners if w else 0:corners + seg.shape[1]].T  # the corners lead window 0
 
 
-def _scale(case: InequalityCase, unit: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The box point of each unit sample, written into out column by column."""
+def _scale(case: InequalityCase, block: np.ndarray) -> np.ndarray:
+    """Move each unit sample of block to its box point, in place; returns block."""
     for k, (_, lo, hi, logscale) in enumerate(case.dims):
-        u, col = unit[:, k], out[:, k]
+        col = block[:, k]
+        # u = 0 and u = 1 land exactly on the ends: exp(log(lo)) can miss lo by an ulp
+        at_lo, at_hi = col == 0.0, col == 1.0
         a, b = (np.log(lo), np.log(hi)) if logscale else (lo, hi)
-        np.multiply(u, b - a, out=col)
+        col *= b - a
         col += a
         if logscale:
             np.exp(col, out=col)
-        # u = 0 and u = 1 land exactly on the ends: exp(log(lo)) can miss lo by an ulp
-        col[u == 0.0] = lo
-        col[u == 1.0] = hi
-    return out
+        col[at_lo] = lo
+        col[at_hi] = hi
+    return block
 
 
 def verify_inequality(
@@ -515,11 +507,10 @@ def verify_inequality(
     corners = 2 ** d
     n_face = max(1, samples // (8 * d)) if d > 1 else 0
     total = corners + 2 * d * n_face + samples
-    coords = np.empty((d, min(_BLOCK, total))).T
     # the least margin (the first of equal ones) or the first NaN, and its point
     min_margin, argmin_point, n_nan = math.inf, None, 0
-    for unit in _unit_blocks(d, n_face, seed, 0, total):
-        block = _scale(case, unit, coords[:len(unit)])
+    for block in _unit_blocks(d, n_face, seed, total):
+        _scale(case, block)
         margins = np.broadcast_to(
             np.asarray(case.margin(case.columns(block)), dtype=float), len(block))
         i = int(np.argmin(margins))  # the first NaN, if there is one

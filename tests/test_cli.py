@@ -386,6 +386,14 @@ class TestThresholdsAndSweep:
         assert code == 2
         assert out == "" and "mu must be finite" in err
 
+    @pytest.mark.parametrize("command", ["thresholds", "theorems"])
+    @pytest.mark.parametrize("mu", ["-1", "-inf", "0"])
+    def test_non_positive_mu_exits_2(self, capsys, command, mu):
+        # a negative mu was once dropped from the grid: an empty table, exit 0
+        code, out, err = run(capsys, command, f"--mu-grid={mu}", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "mu must be > 0" in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--r-hi", "nan"), ("--r-hi", "inf"), ("--r-hi", "-1"), ("--terms", "2"),
     ], ids=["r-hi-nan", "r-hi-inf", "r-hi-negative", "terms-2"])

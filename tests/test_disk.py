@@ -201,14 +201,34 @@ class TestGridRobustness:
             verify_functional(Functional.STARLIKE, seq, grid=DiskGrid(1, 4, 0.5))
         assert exc_info.value.point == pytest.approx(0.5)
 
-    def test_scaled_function_is_not_a_zero(self):
-        # |f/z| = 1e-15 everywhere for f(z) = 1e-15 z, whose z f'/f is 1 as for
-        # f(z) = z; an absolute 1e-14 once called it degenerate
-        seq = FunctionSequence(lambda n: np.where(n == 1, 1e-15, 0.0))
+    @pytest.mark.parametrize("s", [1e-15, 1e300, 1e200, 1e-300, 5e-324])
+    def test_scaled_function_is_not_a_zero(self, s):
+        # f(z) = s z has z f'/f = 1, as f(z) = z does.  An absolute 1e-14 once
+        # called s = 1e-15 degenerate, and Re(f' conj(f/z)) = s^2 once
+        # overflowed (1e300, 1e200) or underflowed (1e-300, 5e-324) to an
+        # Inconclusive check at 2^20 points
+        seq = FunctionSequence(lambda n: np.where(n == 1, s, 0.0))
         rep = verify_functional(Functional.STARLIKE, seq, grid=DiskGrid(4, 16, 0.5))
         assert rep.status is DiskStatus.HOLDS and (rep.m, rep.winding) == (16, 0)
         assert rep.min_value == pytest.approx(1.0, abs=1e-13)
-        assert 0.0 < rep.lower_bound <= 1e-30
+        # lower_bound is in the units of the rows scaled by 2^-e, e = round(log2 s)
+        unit = math.ldexp(s, -round(math.log2(s)))
+        assert rep.lower_bound == pytest.approx(unit * unit, rel=1e-12)
+
+    @settings(max_examples=20)
+    @given(a2=st.sampled_from([-2.0, 0.3]), s=st.floats(1e-300, 1e300))
+    @example(a2=-2.0, s=1e-300).via("the smallest scale")
+    @example(a2=0.3, s=1e300).via("the largest scale")
+    def test_starlike_does_not_depend_on_the_scale(self, a2, s):
+        # f/z = 1 - 2z has a zero inside |z| = 0.9 (winding 1, Violated);
+        # f/z = 1 + 0.3z has none (Holds)
+        def check(scale):
+            seq = FunctionSequence(lambda n: scale * np.where(n == 1, 1.0, np.where(n == 2, a2, 0.0)))
+            return verify_functional(Functional.STARLIKE, seq, grid=DiskGrid(16, 64, 0.9))
+        one, scaled = check(1.0), check(s)
+        assert one.status is (DiskStatus.VIOLATED if a2 < 0 else DiskStatus.HOLDS)
+        assert (scaled.status, scaled.winding) == (one.status, one.winding)
+        assert scaled.min_value == pytest.approx(one.min_value, rel=1e-12)
 
     @pytest.mark.parametrize("family", [Family.F, Family.Q])
     def test_tiny_radius_is_not_a_zero(self, family):
@@ -431,8 +451,9 @@ def _truncated_coeffs_blockwise(seq, rho, tol, n_max, index_weighted=False):
 def _rows_per_check(functional, a):
     c = a if functional is Functional.RATIO_HALFPLANE else np.arange(1, len(a) + 1) * a
     rows = [c]
-    if functional is Functional.STARLIKE:
-        rows = [a, c]
+    if functional is Functional.STARLIKE:  # both rows times 2^-e, e the exponent of max |a_n|
+        scale = 2.0 ** -round(math.log2(np.abs(a).max()))
+        rows = [a * scale, c * scale]
     elif functional is Functional.CLOSE_TO_CONVEX:
         rows = [np.diff(c, prepend=0.0, append=0.0)]
     return np.array(rows)
