@@ -139,6 +139,9 @@ def report_dict(rep) -> dict:
 
 def cmd_eval(args) -> int:
     if args.family in ("S", "S-integral"):
+        if args.mu is not None or args.z is not None:
+            given = "--mu" if args.mu is not None else "--z"
+            raise ConfigurationError(f"--family {args.family} takes no --mu or --z, got {given}")
         if args.r is None:
             raise MathieuGeomError("classical Mathieu series requires --r")
         if args.family == "S":

@@ -40,7 +40,6 @@ _COEFF_CAP = 200_000  # most series terms, rounded up to a block end by truncate
 # Rounding of one fold + FFT evaluation, relative to sum |c_n| rho^(n-1)
 _ROUNDING = 1e-13
 _MAX_POINTS = 2**20  # most circle points; a check undecided there is Inconclusive
-_MAX_SLICE = 2**13   # most points per FFT: larger slices ran slower and use more memory
 _WEIGHTS: dict = {}  # rho -> (n-1, (n-1)^2, rho^(n-1)) at n = 1..2^k, for the last 4 radii
 
 
@@ -124,44 +123,20 @@ def _turn(num, den: int):
 def _fold_eval(coeffs: np.ndarray, radii, m: int) -> np.ndarray:
     """sum_n c_n z^(n-1) for each row c of coeffs (real, shape (S, N)) at
     z = rad e^(2 pi i k/m), k < m, for each radius: shape (S, len(radii), m).
-    One FFT of s points per slice: s is m halved while above _MAX_SLICE and
-    even, and slice j < of = m/s holds k = j, j + of, ...  With C[q, k] =
-    c_(qs+k+1) (zero-padded) and w = rad e^(2 pi i j/m) the terms folded
-    modulo s are (w^(sq) @ C) w^k: two real matmuls (the real and imaginary
-    parts of w^(sq)) and one FFT; at j = 0, w^(sq) is rad^(sq) and its zero
-    imaginary part's product is skipped (the real product, summed from
-    +0.0, has no -0.0 for 1j * 0 to change).  Both products read strided
-    views of the complex rows, so numpy runs its own loop, not OpenBLAS,
+    With C[q, k] = c_(qm+k+1) (zero-padded) the terms folded modulo m are
+    (rad^(mq) @ C) rad^k: one real matmul, then one m-point FFT.  The matmul
+    reads a strided real view, so numpy runs its own loop, not OpenBLAS,
     which stalled in fresh processes and rounds differently."""
-    s = m
-    while s > _MAX_SLICE and s % 2 == 0:
-        s //= 2
-    of = m // s
     rows_n, n = coeffs.shape
-    c = np.zeros((rows_n, -(-n // s), s))  # zero-padded to whole rows of s
+    c = np.zeros((rows_n, -(-n // m), m))  # zero-padded to whole rows of m
     c.reshape(rows_n, -1)[:, :n] = coeffs
-    q, k = np.arange(c.shape[1]), np.arange(s)
     rad = np.asarray(radii, dtype=float)[:, None]
-    rad_q, cols = (rad ** (s * q)).astype(complex), rad ** k
-    lead = (rows_n, len(rad))
-    out = np.empty((*lead, s, of), dtype=complex)  # point k = i of + j at [..., i, j]
-    # slices are stored `run` at a time, each store whole cache lines: one
-    # strided store per slice made checks at 2^20 points about 10 % slower
-    run = min(of, 32)
-    group = np.empty((*lead, run, s), dtype=complex) if of > 1 else out.reshape(*lead, 1, s)
-    if of > 1:
-        step = _turn(k, m)
-    for j in range(of):
-        if j:
-            cols = cols * step
-        rows = rad_q * _turn(j * q, of) if j else rad_q
-        folded = rows.real @ c
-        if j:
-            folded = folded + 1j * (rows.imag @ c)
-        np.multiply(np.fft.ifft(folded * cols, axis=-1), s, out=group[..., j % run, :])
-        if of > 1 and j % run == run - 1:
-            out[..., j + 1 - run:j + 1] = group.swapaxes(-1, -2)
-    return out.reshape(*lead, m)
+    folded = (rad ** (m * np.arange(c.shape[1]))).astype(complex).real @ c
+    del c  # before the FFT's complex copy of folded and its output
+    folded *= rad ** np.arange(m)
+    out = np.fft.ifft(folded, axis=-1)
+    out *= m
+    return out
 
 
 def _series(functional: Functional, seq: SequenceBase, rho: float):
@@ -269,7 +244,8 @@ def _circle_pass(functional: Functional, rows: np.ndarray, rho: float, m: int):
     else None) at each z_k, winding number of f/z: the sum of arg(p_(k+1)
     conj(p_k)) over all m pairs, k + 1 mod m).  The winding sum comes before
     Starlike's complex values, and no complex array outlives the pass: at
-    2^20 points it then peaks below the per-arc bounds."""
+    2^20 points a Starlike pass then peaks at 80 MiB (tracemalloc), under its
+    per-arc bounds' 84, and a one-row pass at 40 MiB, over their 24."""
     series = _fold_eval(rows, [rho], m)[:, 0]
     turns = 0.0
     if functional is Functional.STARLIKE:

@@ -466,6 +466,10 @@ class TestUsageErrors:
         (["coeffs", "--family", "DoubleFactorial", "--r", "1"], "takes no --mu or --r, got --r"),
         (["verify", "--criterion", "ozaki", "--family", "SHat", "--mu", "2"], "takes no --mu or --r, got --mu"),
         (["eval", "--family", "SHat", "--z", "0.5", "--mu", "1"], "takes no --mu or --r, got --mu"),
+        (["eval", "--family", "S", "--r", "2", "--mu", "5"], "--family S takes no --mu or --z, got --mu"),
+        (["eval", "--family", "S", "--r", "2", "--z", "0.5"], "--family S takes no --mu or --z, got --z"),
+        (["eval", "--family", "S-integral", "--r", "2", "--mu", "5"], "takes no --mu or --z, got --mu"),
+        (["eval", "--family", "S-integral", "--r", "2", "--z", "0.5"], "takes no --mu or --z, got --z"),
         (["coeffs", "--family", "F", "--mu", "1"], "family F requires (mu, r)"),
         (["verify", "--family", "Q", "--r", "1", "--functional", "starlike"], "family Q requires (mu, r)"),
     ])

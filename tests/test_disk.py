@@ -5,6 +5,7 @@ import csv
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -547,7 +548,8 @@ def _coeffs(length: int, seed: int, decay: float) -> np.ndarray:
 class TestEvaluatorOracles:
     @settings(max_examples=60)
     @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
-           n_radii=st.integers(1, 6), n_angles=st.integers(4, 600),
+           n_radii=st.integers(1, 6),
+           n_angles=st.one_of(st.integers(4, 600), st.sampled_from([8193, 16384, 32768])),
            max_radius=st.one_of(st.floats(0.01, 0.9999), st.sampled_from([0.999, 0.9999])))
     def test_grid_eval_matches_per_radius_loop(self, length, seed, decay, n_radii, n_angles,
                                                max_radius):
@@ -561,28 +563,12 @@ class TestEvaluatorOracles:
 
     @settings(max_examples=40)
     @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
-           log_m=st.integers(2, 10), log_of=st.integers(1, 7),
-           rho=st.one_of(st.floats(0.01, 0.9999), st.sampled_from([0.999, 0.9999])))
-    def test_slices_cover_the_whole_circle(self, length, seed, decay, log_m, log_of, rho):
-        # with slices of m points, slice j of `of` holds the points j, j + of, ...
-        coeffs = _coeffs(length, seed, decay)
-        m, of = 2**log_m, 2**log_of
-        scale = np.abs(coeffs) @ rho ** np.arange(length)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diskcheck, "_MAX_SLICE", m * of)
-            whole = _fold_eval(coeffs[None], [rho], m * of)
-            mp.setattr(diskcheck, "_MAX_SLICE", m)
-            sliced = _fold_eval(coeffs[None], [rho], m * of)
-        assert sliced.shape == whole.shape == (1, 1, m * of)
-        assert np.all(np.abs(sliced - whole) <= 1e-13 * scale)
-
-    @settings(max_examples=40)
-    @given(length=_LENGTHS, seed=st.integers(0, 2**32 - 1), decay=st.floats(0.0, 3.0),
-           n_radii=st.integers(1, 4), log_m=st.integers(2, 10), of=st.sampled_from([1, 2, 8, 64]),
-           zeros=st.booleans())
-    def test_first_slice_has_the_bits_of_both_products(self, length, seed, decay, n_radii,
-                                                       log_m, of, zeros):
-        # the first slice skips the imaginary product, which is exactly zero;
+           n_radii=st.integers(1, 4), log_m=st.integers(2, 15), zeros=st.booleans())
+    @example(length=5000, seed=0, decay=0.0, n_radii=2, log_m=14, zeros=False).via("2^14 points")
+    @example(length=4097, seed=1, decay=1.0, n_radii=1, log_m=15, zeros=True).via("2^15 points")
+    def test_one_pass_has_the_bits_of_both_products(self, length, seed, decay, n_radii,
+                                                    log_m, zeros):
+        # the imaginary product of the real powers is exactly zero and skipped;
         # reference: both products on strided views, summed with 1j
         coeffs = np.vstack([_coeffs(length, seed, decay), -_coeffs(length, seed + 1, decay)])
         if zeros:
@@ -593,35 +579,26 @@ class TestEvaluatorOracles:
         rows = radii[:, None] ** (m * np.arange(c.shape[1])) * np.exp(0j)
         want = np.fft.ifft((rows.real @ c + 1j * (rows.imag @ c)) * radii[:, None] ** np.arange(m),
                            axis=-1) * m
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diskcheck, "_MAX_SLICE", m)
-            got = _fold_eval(coeffs, radii, m * of)[..., ::of]
+        got = _fold_eval(coeffs, radii, m)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("functional", list(Functional))
-    @pytest.mark.parametrize("seq,rho,m,winding", [
-        (FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, -2.0, 0.0))), 0.9, 256, 1),
-        (CoefficientSeq(Family.F, ParamSet(1.0, 1.0)), 0.99, 1024, 0),
-    ])
-    def test_sliced_pass_is_the_unsliced_pass(self, functional, seq, rho, m, winding):
-        # z - 2 z^2: f/z = 1 - 2z has its zero 1/2 inside the circle.  The
-        # least value, its point (or its conjugate, a tie under real
-        # coefficients), the winding and the certified arrays do not depend
-        # on slicing
-        rows, _, _ = _series(functional, seq, rho)
-        want = _circle_pass(functional, rows, rho, m)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diskcheck, "_MAX_SLICE", m // 8)
-            got = _circle_pass(functional, rows, rho, m)
-        scale = 1e-12 * (1.0 + np.abs(rows).sum()) ** 2
-        assert got[0] == pytest.approx(want[0], abs=scale)
-        assert min(abs(got[1] - want[1]), abs(got[1] - want[1].conjugate())) < 1e-12
-        assert got[4] == want[4] == (winding if functional is Functional.STARLIKE else 0)
-        assert np.all(np.abs(got[2] - want[2]) <= scale)
-        if functional is Functional.STARLIKE:
-            assert np.all(np.abs(got[3] - want[3]) <= scale)
-        else:
-            assert got[3] is want[3] is None
+    @pytest.mark.parametrize("log_m", [14, 17, 20])
+    def test_one_pass_matches_the_geometric_closed_form(self, log_m):
+        # c_n = q^(n-1) for n <= 3m/2 + 3 folds into two rows of m; the sum
+        # at w = q rad e^(2 pi i k/m) is (1 - w^N)/(1 - w), taken in mpmath
+        # at a sample of points, up to the cap of _MAX_POINTS
+        m = 2**log_m
+        n = 3 * m // 2 + 3
+        q, rad = 1.0 - 2.0 ** (2 - log_m), 1.0 - 2.0 ** (1 - log_m)
+        got = _fold_eval(q ** np.arange(n, dtype=float)[None], [rad], m)
+        assert got.shape == (1, 1, m)
+        ks = {0, 1, m // 4, m // 2, m - 1, *np.random.default_rng(log_m).integers(0, m, 40).tolist()}
+        with mpmath.workdps(40):
+            w0 = mpmath.mpf(q) * mpmath.mpf(rad)
+            scale = float((1 - w0**n) / (1 - w0))
+            want = {k: complex((1 - w**n) / (1 - w))
+                    for k in ks for w in [w0 * mpmath.expjpi(mpmath.mpf(2 * k) / m)]}
+        assert max(abs(complex(got[0, 0, k]) - want[k]) for k in ks) <= 1e-14 * scale
 
 
 class TestPolishedLongSeries:
@@ -644,6 +621,29 @@ class TestPolishedLongSeries:
             n = np.arange(1, 80_001)
             direct = np.polyval((n * seq.values_at(n))[::-1], z).real
         assert rep.min_value == pytest.approx(direct, rel=1e-8)
+
+    @pytest.mark.parametrize("functional,mu,r,rho,n_radii,n_angles,terms,min_value,lower_bound", [
+        (Functional.STARLIKE, 0.6688602884846191, 0.4927736520208266, 0.9999, 64, 256, 212736,
+         0.8291694750015367, 0.3821659036936449),
+        (Functional.STARLIKE, 0.12576745605092846, 0.568231354144598, 0.999, 32, 256, 32512,
+         0.6856793793115012, 0.3081652185906779),
+        (Functional.STARLIKE, 0.10889803611477844, 0.5494284020421915, 0.999, 32, 256, 48896,
+         0.6851068809779634, 0.30677462792351),
+        (Functional.DERIV_HALFPLANE, 0.1603548098389045, 0.21162316709687495, 0.999, 32, 128, 32512,
+         0.5548937617062819, 0.5548936594610896),
+    ])
+    def test_checks_decided_at_16384_points(self, functional, mu, r, rho, n_radii, n_angles,
+                                            terms, min_value, lower_bound):
+        # perfbench disk-ledger jobs whose deciding pass has 2^14 points; the
+        # expected figures are those of an evaluator with FFT slices of 2^13
+        # points, so the one-FFT pass keeps status, m, argmin and terms and
+        # moves the values by a few ulps at most
+        rep = verify_functional(functional, Family.F, ParamSet(mu, r), DiskGrid(n_radii, n_angles, rho))
+        assert rep.status is DiskStatus.HOLDS
+        assert (rep.m, rep.terms) == (16384, terms)
+        assert rep.argmin == pytest.approx(-rho, abs=1e-12)
+        assert rep.min_value == pytest.approx(min_value, rel=1e-14)
+        assert rep.lower_bound == pytest.approx(lower_bound, rel=1e-14)
 
 
 def _global_certificate(starlike, moments, certs, p_abs, err, err_all, bound, m):
