@@ -7,7 +7,8 @@ the witness of the first failing scan.
 
 Every condition is scanned per element with its own slack, 1e-12 *
 max(1, |lhs_n|, |rhs_n|): the monotone chains, Ozaki's end t_N >= 0 and
-cap t_n <= 2, and the half-plane positivity and convexity.  The slack
+cap t_n <= 2, the half-plane positivity and convexity, and Goodman's
+partial sum 1 >= sum_{2<=n<=N} n |a_n|.  The slack
 keeps borderline sequences (e.g. a_n = 1/n, where the chains hold with
 equality) Verified rather than flipping on rounding noise.  It is the
 one rule: values below 1e-12, underflowed ones included, compare equal
@@ -209,32 +210,25 @@ def _goodman_tail(c: CoefficientSeq, n_terms: int, log_last: float):
 def check_goodman(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:
     """Goodman sum criterion: sum_{n>=2} n |a_n| <= 1 implies starlikeness.
 
-    The partial sum over n <= N is completed with a family-specific
-    rigorous tail majorant; without one the result is Inconclusive.
+    The partial sum over n <= N is scanned as 1 >= sum n |a_n|, a chain
+    condition of one element; a prefix that passes is completed with a
+    family-specific rigorous tail majorant, and without one the result is
+    Inconclusive.
     """
     t, logs = _prefix(c, n_terms, 2, weighted=True)
     partial = float(np.sum(np.abs(t[1:])))
-
-    if partial >= 1.0:
-        k = int(n_terms)
-        return CriterionReport(
-            Criterion.GOODMAN_SUM.value, Status.FALSIFIED, n_terms,
-            1.0 - partial, witness=Witness(k, partial, 1.0),
-            detail="partial sum already >= 1",
-        )
-
+    report = _report(Criterion.GOODMAN_SUM, n_terms, [_chain_scan(1.0, np.array([partial]), first=n_terms)],
+                     "partial sum exceeds 1")
+    if not report.ok:
+        return report
     tail, how = _goodman_tail(c, n_terms, float(logs[-1]))
     if tail is None:
-        return CriterionReport(
-            Criterion.GOODMAN_SUM.value, Status.INCONCLUSIVE, n_terms,
-            1.0 - partial, detail="no rigorous tail majorant for this prefix",
-        )
-    margin = 1.0 - partial - tail
-    status = Status.VERIFIED if margin > 0 else Status.INCONCLUSIVE
-    return CriterionReport(
-        Criterion.GOODMAN_SUM.value, status, n_terms, margin,
-        detail=f"tail bound: {how} ({tail:.3e})",
-    )
+        report.status, report.detail = Status.INCONCLUSIVE, "no rigorous tail majorant for this prefix"
+        return report
+    report.min_margin = 1.0 - partial - tail
+    report.status = Status.VERIFIED if report.min_margin > 0 else Status.INCONCLUSIVE
+    report.detail = f"tail bound: {how} ({tail:.3e})"
+    return report
 
 
 def fejer_kernel_sigma(n: int, theta: float) -> float:

@@ -222,19 +222,23 @@ def _arc_bounds(poly, glob, rho: float, m: int):
     return bound
 
 
-def _values(functional: Functional, series: np.ndarray, point):
+def _values(functional: Functional, series: np.ndarray, point=None):
     """The functional, the quantity certified for it and |f/z| (Starlike,
-    else None), from its series' values.  Starlike divides by f/z, so it
-    raises DegeneratePointError at point(i), i the flat index of the least
-    |f/z|, if below 1e-14 times the largest, whatever the scale of f."""
+    else None), from its series' values.  Starlike divides by f/z, which is
+    degenerate where |f/z| is below 1e-14 times its largest, whatever the
+    scale of f: there both values are NaN if point is None, else it raises
+    DegeneratePointError at point(i), i the flat index of the least |f/z|."""
     if functional is not Functional.STARLIKE:
         return series[0].real, series[0].real, None
     p, d = series
     p_abs = np.abs(p)
-    i = int(np.argmin(p_abs))
-    if p_abs.flat[i] < 1e-14 * p_abs.max():
-        raise DegeneratePointError("function vanishes at a sample point; "
-                                   "starlikeness ratio undefined", point=complex(point(i)))
+    i, small = int(np.argmin(p_abs)), 1e-14 * p_abs.max()
+    if p_abs.flat[i] < small:
+        if point is not None:
+            raise DegeneratePointError("function vanishes at a sample point; "
+                                       "starlikeness ratio undefined", point=complex(point(i)))
+        zero = p_abs < small
+        p, d = np.where(zero, 1.0, p), np.where(zero, math.nan, d)  # NaN / 1 raises no warning
     return (d / p).real, (d * p.conj()).real, p_abs
 
 
@@ -257,10 +261,10 @@ def _circle_pass(functional: Functional, rows: np.ndarray, rho: float, m: int):
 
 
 def _lattice(functional: Functional, rows: np.ndarray, grid: DiskGrid):
-    """The functional on the lattice grid.radii() x grid.angles(), its points."""
+    """The functional on the lattice grid.radii() x grid.angles(), NaN where
+    Starlike's f/z is degenerate, and its points."""
     z = grid.radii()[:, None] * np.exp(1j * grid.angles())[None, :]
-    series = _fold_eval(rows, grid.radii(), grid.n_angles)
-    return _values(functional, series, lambda i: z.flat[i])[0], z
+    return _values(functional, _fold_eval(rows, grid.radii(), grid.n_angles))[0], z
 
 
 def _arc_certificate(starlike: bool, bounds, cert, p_abs, err, err_all: float, bound: float, m: int):
@@ -312,7 +316,8 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     """Decide one functional against its half-plane/positivity bound on
     |z| <= grid.max_radius from its boundary circle, sampled first at
     grid.n_angles points (see the module docstring).  A Starlike winding
-    number other than 0 is Violated, reported at the least lattice value."""
+    number other than 0 is Violated, reported at the least lattice value
+    off the zeros of f/z."""
     functional, grid = Functional(functional), grid or DiskGrid()
     rho, bound = grid.max_radius, FUNCTIONAL_BOUND[functional]
     starlike = functional is Functional.STARLIKE
@@ -337,7 +342,7 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
         elif zero_free and winding != 0:
             status = DiskStatus.VIOLATED
             vals, z = _lattice(functional, rows, grid)
-            i = np.unravel_index(int(np.argmin(vals)), vals.shape)
+            i = np.unravel_index(int(np.nanargmin(vals)), vals.shape)  # not at the zero of f/z
             min_value, argmin = float(vals[i]), complex(z[i])
         elif zero_free and lower > bound:
             status = DiskStatus.HOLDS
@@ -356,7 +361,7 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
 
 def dump_grid_csv(functional: Functional | str, family, p, grid, path) -> None:
     """Write the functional on the interior lattice as CSV (radius, angle,
-    re_functional)."""
+    re_functional), re_functional nan where Starlike's f/z is degenerate."""
     functional, grid = Functional(functional), grid or DiskGrid()
     rows = _series(functional, as_sequence(family, p), grid.max_radius)[0]
     vals, _ = _lattice(functional, rows, grid)

@@ -65,7 +65,10 @@ class ParamSet:
 
     def __post_init__(self):
         for name, value in (("mu", self.mu), ("r", self.r)):
-            if value is None or not value > 0:
+            # a float passes the first test; the Real test alone costs about 1 us
+            if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ParameterDomainError(f"{name} must be a real number, got {value!r}")
+            if not value > 0:
                 raise ParameterDomainError(f"{name} must be > 0, got {value}")
             if value == math.inf:
                 raise ParameterDomainError(f"{name} must be finite, got {value}")

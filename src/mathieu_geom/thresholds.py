@@ -70,6 +70,8 @@ def threshold(kind: ThresholdKind | str, mu: float) -> float:
     if mu < mu_min:
         raise HypothesisError(f"{kind.value} requires mu >= {mu_min}, got {mu}")
     if kind in (ThresholdKind.F_STARLIKE, ThresholdKind.F_HALFPLANE_DERIV):
+        if mu > 1e150:  # 17 mu^2 overflows past about 3.25e153: factor mu out of the root
+            return math.sqrt(mu) * math.sqrt((5.0 + 3.0 / mu - math.sqrt(17.0 + (26.0 + 9.0 / mu) / mu)) / 2.0)
         return math.sqrt((5.0 * mu + 3.0 - math.sqrt(17.0 * mu * mu + 26.0 * mu + 9.0)) / 2.0)
     if kind is ThresholdKind.F_HALFPLANE_RATIO:
         return math.sqrt((2.0 * mu + 1.0) / 3.0)

@@ -414,6 +414,20 @@ class TestThresholdsAndSweep:
         assert [row["status"] for row in rows] == [
             "no_failure_found", "error: r_hi 0.8 must exceed sufficient_r 1.0"]
 
+    def test_mu_past_the_square_overflow(self, capsys):
+        # 17 mu^2 is infinite at mu = 1e200: `thresholds` once ended in a
+        # math domain error and `sweep` crashed with it; the coefficient
+        # formula then rejects mu, one error row
+        code, out, _ = run(capsys, "thresholds", "--mu-grid", "1e200", "--format", "json")
+        assert code == 0
+        radii = [row["sufficient_r"] for row in json.loads(out)["thresholds"]]
+        assert len(radii) == len(ThresholdKind) and all(math.isfinite(x) for x in radii)
+        code, out, _ = run(capsys, "sweep", "--kinds", "F_Starlike", "--mu-grid", "1e200",
+                           "--format", "json")
+        assert code == 0
+        [row] = json.loads(out)
+        assert row["status"].startswith("error: mu ")
+
     def test_sweep_default_kinds_all(self, capsys):
         code, out, _ = run(capsys, "sweep", "--kinds", "all", "--mu-grid", "1",
                            "--format", "json")

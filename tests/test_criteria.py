@@ -231,6 +231,16 @@ class TestGoodman:
     def test_falsified_when_sum_exceeds_one(self):
         rep = check_goodman(FunctionSequence(lambda n: np.where(n <= 2, 1.0, 0.0)))
         assert rep.status is Status.FALSIFIED
+        assert rep.witness == Witness(200, 1.0, 2.0) and rep.witness.margin == rep.min_margin
+        assert rep.detail == "partial sum exceeds 1"
+
+    @pytest.mark.parametrize("a2", [0.5, (1.0 + 1e-13) / 2])
+    def test_partial_sum_within_slack_of_one_is_not_falsified(self, a2):
+        # f = z + z^2/2 has sum n |a_n| = 1, which Goodman's hypothesis
+        # allows, and 1 + 1e-13 is within the slack: both go to the tail
+        rep = check_goodman(FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, a2, 0.0))))
+        assert rep.status is Status.INCONCLUSIVE and rep.witness is None
+        assert rep.detail == "no rigorous tail majorant for this prefix"
 
     def test_sum_of_moduli(self):
         # a = (1, -0.9, -0.9, 0, ...): the signed sum 2 a_2 + 3 a_3 = -4.5 is
@@ -239,8 +249,21 @@ class TestGoodman:
         a = np.array([1.0, -0.9, -0.9] + [0.0] * 10)
         rep = check_goodman(FunctionSequence(lambda n: a[n.astype(int) - 1]), len(a))
         assert rep.status is Status.FALSIFIED
-        assert rep.witness == Witness(len(a), 4.5, 1.0)
+        assert rep.witness == Witness(len(a), 1.0, 4.5)
         assert np.polyval([-2.7, -1.8, 1.0], 0.361) == pytest.approx(0.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("report", [
+    lambda: check_ozaki(seq_F(0.25, 1.0)),
+    lambda: check_fejer_halfplane(seq_F(0.5, 3.0)),
+    lambda: check_goodman(FunctionSequence(lambda n: np.where(n <= 2, 1.0, 0.0))),
+], ids=["ozaki", "fejer-halfplane", "goodman"])
+def test_witness_reads_lhs_below_rhs(report):
+    # every witness of a chain scan reads lhs >= rhs, so its margin is negative
+    rep = report()
+    assert rep.status is Status.FALSIFIED
+    assert rep.witness.margin < -comparison_slack(rep.witness.lhs, rep.witness.rhs)
+    assert rep.min_margin <= rep.witness.margin
 
 
 @pytest.mark.parametrize("read", [*CRITERIA.values(), lambda c, n: c.prefix(n)],

@@ -256,6 +256,16 @@ class TestCsvDump:
         rep = verify_functional(Functional.RATIO_HALFPLANE, Family.F, ParamSet(1.0, 1.0), grid)
         assert min(vals) == pytest.approx(rep.min_value, abs=1e-13)
 
+    def test_zero_of_f_over_z_is_nan(self, tmp_path):
+        # f/z = 1 - z/z0 vanishes at the lattice point z0 = 0.9 sin(pi/4)
+        path, grid = tmp_path / "grid.csv", DiskGrid(64, 256, 0.9)
+        z0 = grid.radii()[31]
+        seq = FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, -1.0 / z0, 0.0)))
+        dump_grid_csv(Functional.STARLIKE, seq, None, grid, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r for r in rows if r[2] == "nan"] == [[repr(float(z0)), "0.0", "nan"]]
+
 
 def _direct(functional: Functional, seq, z: np.ndarray, n_terms: int):
     """The functional and, for Starlike, Re(f' conj(f/z)) at the points z, by
@@ -288,17 +298,20 @@ class TestCircleCertificate:
                             np.array([rep.argmin]), _terms_for(p, 0.995))
         assert rep.min_value == pytest.approx(direct[0], rel=1e-8)
 
-    def test_zero_of_f_over_z_inside_is_violated(self):
-        # f(z) = z - 2 z^2: f/z = 1 - 2z vanishes at 1/2 inside |z| < 0.9,
-        # while Re(z f'/f) = Re((1 - 4z)/(1 - 2z)) >= 1.6 on the circle
-        seq = FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, -2.0, 0.0)))
+    @pytest.mark.parametrize("a2", [-2.0, -1.0 / DiskGrid(64, 256, 0.9).radii()[31]])
+    def test_zero_of_f_over_z_inside_is_violated(self, a2):
+        # f(z) = z + a2 z^2: f/z = 1 + a2 z vanishes at -1/a2 inside |z| < 0.9,
+        # while Re(z f'/f) = Re((1 + 2 a2 z)/(1 + a2 z)) >= 1.5 on the circle;
+        # the second a2 puts the zero on the lattice point 0.9 sin(pi/4),
+        # where f/z is degenerate and the witness search passes it by
+        seq = FunctionSequence(lambda n: np.where(n == 1, 1.0, np.where(n == 2, a2, 0.0)))
         grid = DiskGrid(64, 256, 0.9)
         rep = verify_functional(Functional.STARLIKE, seq, grid=grid)
         assert rep.status is DiskStatus.VIOLATED
         assert rep.winding == 1
         assert rep.min_value < 0.0 and abs(rep.argmin) < grid.max_radius
         z = rep.argmin
-        assert rep.min_value == pytest.approx(((1 - 4 * z) / (1 - 2 * z)).real, rel=1e-8)
+        assert rep.min_value == pytest.approx(((1 + 2 * a2 * z) / (1 + a2 * z)).real, rel=1e-8)
 
     def test_holds_reports_zero_winding(self):
         rep = verify_functional(Functional.STARLIKE, Family.F, ParamSet(1.0, 0.6), SMALL_GRID)

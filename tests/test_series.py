@@ -102,6 +102,12 @@ class TestCoefficients:
             ParamSet(1.0, -0.5)
         with pytest.raises(ParameterDomainError):
             CoefficientSeq(Family.F, ParamSet(1.0, 1.0)).value(0)
+        # True once passed as 1, and "1", a complex number or a list raised a bare TypeError
+        for bad in (True, "1", 1 + 0j, [1.0], None):
+            for mu, r, name in ((bad, 1.0, "mu"), (1.0, bad, "r")):
+                with pytest.raises(ParameterDomainError, match=f"^{name} must be a real number"):
+                    ParamSet(mu, r)
+        assert ParamSet(1, np.float64(0.5)) == ParamSet(1.0, 0.5)
 
     @pytest.mark.parametrize("n_terms", [0, -3])
     def test_empty_prefix_is_a_domain_error(self, n_terms):

@@ -83,6 +83,18 @@ class TestThresholdValues:
         assert y * y - 8.0 * y + 3.0 == pytest.approx(0.0, abs=1e-13)
         assert threshold("F_HalfPlaneDeriv", 1.0) == threshold("F_Starlike", 1.0)
 
+    @pytest.mark.parametrize("kind", ["F_Starlike", "F_HalfPlaneDeriv"])
+    def test_F_starlike_past_the_square_overflow(self, kind):
+        # 17 mu^2 overflows from about 3.25e153: on log-spaced mu up to the
+        # largest doubles the root stays within 4 ulps of 50 digits
+        import mpmath
+
+        for mu in np.geomspace(1e150, 1.7e308, 60):
+            with mpmath.workdps(50):
+                m = mpmath.mpf(float(mu))
+                true = float(mpmath.sqrt((5 * m + 3 - mpmath.sqrt(17 * m * m + 26 * m + 9)) / 2))
+            assert abs(threshold(kind, float(mu)) - true) <= 4 * math.ulp(true)
+
     def test_F_halfplane_ratio(self):
         assert threshold("F_HalfPlaneRatio", 1.0) == pytest.approx(1.0, rel=1e-15)
         assert threshold("F_HalfPlaneRatio", 4.0) == pytest.approx(
