@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: eval, coeffs, verify, thresholds, sweep, examples, theorems.
-stdout carries data, stderr carries diagnostics.  Exit codes:
-0 verified/holds/pass, 1 falsified/violated, 2 domain or usage error,
-3 inconclusive.  Every report is rendered by report_dict: its fields in
-declared order, and a field that has a default only when it is set.
+stdout carries data, stderr diagnostics.  Exit codes: 0 verified/holds/pass,
+1 falsified/violated, 2 domain or usage error, 3 inconclusive, 141 stdout
+closed by its reader.  Every report is rendered by report_dict: its fields
+in declared order, and a field that has a default only when it is set.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, is_dataclass
@@ -116,7 +117,7 @@ def _emit(payload: dict | list, rows: list[dict], args) -> None:
         with _writing("--out"), open(args.out, "w") as fh:
             fh.write(out + "\n")
     else:
-        print(out)
+        print(out, flush=True)  # a closed pipe raises here, inside main
 
 
 def report_dict(rep) -> dict:
@@ -317,6 +318,11 @@ def main(argv=None) -> int:
     except MathieuGeomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: what is left goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -92,38 +92,36 @@ def _chain_scan(lhs, rhs, first: int = 1):
 
     Either side may be a scalar.  A chain on one sequence is scanned
     through shifted views of it: (v[:-1], v[1:]) for non-increasing,
-    (v[1:], v[:-1]) for non-decreasing.  witness is the first of the
-    worst slack-exceeding violations, or None; element k is index n =
-    first + k.  Only a negative margin can be a witness, so only those
-    get a slack.
+    (v[1:], v[:-1]) for non-decreasing.  A comparison that is not true
+    fails: witness names n = first + k of the first NaN margin (inf - inf),
+    else of the first of the worst violations past their slack (a -inf
+    margin is past any), else is None.  Only negative margins get a slack.
     """
     margin = lhs - rhs
-    # min_margin as a running min() would give it: NaNs never win, and
-    # of equal minima (0.0 and -0.0) the first one is kept, as by argmin
-    min_margin = float(margin[margin.argmin()])
-    if math.isnan(min_margin):
-        comparable = margin[~np.isnan(margin)]
-        min_margin = float(comparable[comparable.argmin()]) if comparable.size else math.inf
-    if not min_margin < 0.0:
+    k = margin.argmin()  # the first NaN, else the first of equal minima (0.0 and -0.0)
+    min_margin = float(margin[k])
+    if min_margin >= 0.0:
         return min_margin, None
-    neg = (margin < 0.0).nonzero()[0]
-    lhs_neg, rhs_neg = (side[neg] if np.ndim(side) else side for side in (lhs, rhs))
-    worst = neg[margin[neg] < -comparison_slack(lhs_neg, rhs_neg)]
-    if not worst.size:
-        return min_margin, None
-    k = int(worst[margin[worst].argmin()])
+    if min_margin > -math.inf:  # finite: is a violation past its slack?
+        neg = (margin < 0.0).nonzero()[0]
+        lhs_neg, rhs_neg = (side[neg] if np.ndim(side) else side for side in (lhs, rhs))
+        worst = neg[margin[neg] < -comparison_slack(lhs_neg, rhs_neg)]
+        if not worst.size:
+            return min_margin, None
+        k = int(worst[margin[worst].argmin()])
     lhs_k, rhs_k = (float(side[k] if np.ndim(side) else side) for side in (lhs, rhs))
-    return min_margin, Witness(first + k, lhs_k, rhs_k)
+    return min_margin, Witness(first + int(k), lhs_k, rhs_k)
 
 
 def _report(criterion: Criterion, n_terms: int, scans: list, detail: str = "") -> CriterionReport:
     """Combine an ordered list of scans into one report: min_margin is the
-    least over all scans, and the first scan with a witness makes the
-    report Falsified and names that witness."""
+    least over all scans (NaN where only NaN fails), and the first scan
+    with a witness makes the report Falsified and names that witness."""
     witness = next((w for _, w in scans if w), None)
-    status = Status.VERIFIED if witness is None else Status.FALSIFIED
-    return CriterionReport(criterion.value, status, n_terms, min(m for m, _ in scans),
-                           witness=witness, detail=detail)
+    status, least = (Status.VERIFIED if witness is None else Status.FALSIFIED), min(m for m, _ in scans)
+    if witness is not None and not least < 0.0:  # NaN failed alone; min() keeps only a first NaN
+        least = math.nan
+    return CriterionReport(criterion.value, status, n_terms, least, witness=witness, detail=detail)
 
 
 def check_ozaki(c: CoefficientSeq, n_terms: int = DEFAULT_TERMS) -> CriterionReport:

@@ -145,16 +145,16 @@ def _series(functional: Functional, seq: SequenceBase, rho: float):
     f/z (a_n) and f' (n a_n) for Starlike, (1-z) f' (n a_n - (n-1) a_(n-1))
     for CloseToConvex, else one of f/z, f' (a view).  Starlike's rows and
     tails are scaled exactly by 2^-e, e = round(log2 max |a_n|) (0 if that
-    is 0 or not finite), so Re(f' conj(f/z)) neither overflows nor
-    underflows with the scale of f.  Returns (rows, the tail bound of each
-    row at |z| = rho, (terms, tail majorant) of the cut)."""
+    is 0), so Re(f' conj(f/z)) neither overflows nor underflows with the
+    scale of f.  Returns (rows, the tail bound of each row at |z| = rho,
+    (terms, tail majorant) of the cut)."""
     ratio = functional is Functional.RATIO_HALFPLANE
     a, tail = truncated_coeffs(seq, rho, _SERIES_TAIL_TOL, _COEFF_CAP, not ratio)
     n, tails = len(a), [tail]
     c = a if ratio else prefix_arrays(n)[0] * a
     if functional is Functional.STARLIKE:
         top = float(np.abs(a).max())
-        e = round(math.log2(top)) if 0.0 < top < math.inf else 0
+        e = round(math.log2(top)) if top > 0.0 else 0
         rows = np.ldexp(np.stack([a, c]), -e)
         tails = [math.ldexp(t, -e) for t in (a[-1] * rho**n / (1.0 - rho), tail)]
     elif functional is Functional.CLOSE_TO_CONVEX:  # c_1, c_2 - c_1, ..., -c_N as np.diff forms them
@@ -317,7 +317,7 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
     |z| <= grid.max_radius from its boundary circle, sampled first at
     grid.n_angles points (see the module docstring).  A Starlike winding
     number other than 0 is Violated, reported at the least lattice value
-    off the zeros of f/z."""
+    off the zeros of f/z, or NaN if no value is finite (n a_n overflowed)."""
     functional, grid = Functional(functional), grid or DiskGrid()
     rho, bound = grid.max_radius, FUNCTIONAL_BOUND[functional]
     starlike = functional is Functional.STARLIKE
@@ -342,7 +342,7 @@ def verify_functional(functional: Functional | str, family: Union[SequenceBase, 
         elif zero_free and winding != 0:
             status = DiskStatus.VIOLATED
             vals, z = _lattice(functional, rows, grid)
-            i = np.unravel_index(int(np.nanargmin(vals)), vals.shape)  # not at the zero of f/z
+            i = np.unravel_index(int(np.argmin(np.where(np.isnan(vals), math.inf, vals))), vals.shape)
             min_value, argmin = float(vals[i]), complex(z[i])
         elif zero_free and lower > bound:
             status = DiskStatus.HOLDS

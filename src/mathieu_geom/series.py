@@ -202,8 +202,8 @@ class CoefficientSeq(SequenceBase):
 
 
 class FunctionSequence(SequenceBase):
-    """Coefficient sequence a_n = fn(n) for a vectorized fn, handy for
-    synthetic fixtures like a_n = 1/n; a negative a_n has log nan."""
+    """Coefficient sequence a_n = fn(n) for a vectorized fn of finite
+    values, handy for fixtures like a_n = 1/n; a negative a_n has log nan."""
 
     family = None
     params = None
@@ -215,7 +215,11 @@ class FunctionSequence(SequenceBase):
         n = np.asarray(n, dtype=np.int64)
         if n.size and n.min() < 1:
             raise ParameterDomainError("coefficient index must be >= 1")
-        return np.asarray(self.fn(n.astype(float)), dtype=float)
+        vals = np.asarray(self.fn(n.astype(float)), dtype=float)
+        if not np.isfinite(vals).all():
+            k = int(np.isfinite(vals).argmin())
+            raise NumericError(f"coefficient a_{n.flat[k]} is {vals.flat[k]}, not finite")
+        return vals
 
     def log_values_at(self, n: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -72,7 +72,10 @@ def threshold(kind: ThresholdKind | str, mu: float) -> float:
     if kind in (ThresholdKind.F_STARLIKE, ThresholdKind.F_HALFPLANE_DERIV):
         if mu > 1e150:  # 17 mu^2 overflows past about 3.25e153: factor mu out of the root
             return math.sqrt(mu) * math.sqrt((5.0 + 3.0 / mu - math.sqrt(17.0 + (26.0 + 9.0 / mu) / mu)) / 2.0)
-        return math.sqrt((5.0 * mu + 3.0 - math.sqrt(17.0 * mu * mu + 26.0 * mu + 9.0)) / 2.0)
+        a, b = 5.0 * mu + 3.0, math.sqrt(17.0 * mu * mu + 26.0 * mu + 9.0)
+        if mu < 0.1:  # a - b cancels as mu -> 0, and (a - b)/2 = 2 mu (2 mu + 1)/(a + b)
+            return math.sqrt(2.0 * mu * (2.0 * mu + 1.0) / (a + b))
+        return math.sqrt((a - b) / 2.0)
     if kind is ThresholdKind.F_HALFPLANE_RATIO:
         return math.sqrt((2.0 * mu + 1.0) / 3.0)
     return math.sqrt(mu)  # F close-to-convex and every Q kind
@@ -161,16 +164,16 @@ def trigamma(x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _brackets(x: np.ndarray, p: ParamSet):
-    """log Gamma(x+1), u = r^2/Gamma(x+1)^2 and the O(1) brackets of A and
-    A~: with c1 = 2mu+1 and psi, psi' at x+1, A~'s is quad psi^2 + (u+1)
-    (u-c1) psi' and A's is 2(u+1)(u-c1) psi + x (A~'s)."""
+    """log Gamma(x+1) and the O(1) brackets of A and A~: with u =
+    r^2/Gamma(x+1)^2, c1 = 2mu+1 and psi, psi' at x+1, A~'s is quad psi^2 +
+    (u+1) (u-c1) psi' and A's is 2(u+1)(u-c1) psi + x (A~'s)."""
     log_g = log_factorial(x)
     u = np.exp(2.0 * (math.log(p.r) - log_g))
     c1 = 2.0 * p.mu + 1.0
     psi = digamma(x + 1.0)
     quad = u * u - 2.0 * (4.0 * p.mu + 3.0) * u + c1 * c1
     tilde = quad * psi * psi + (u + 1.0) * (u - c1) * trigamma(x + 1.0)
-    return log_g, u, 2.0 * (u + 1.0) * (u - c1) * psi + x * tilde, tilde
+    return log_g, 2.0 * (u + 1.0) * (u - c1) * psi + x * tilde, tilde
 
 
 def _signed_exp(log_mag: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,7 +193,7 @@ def A_of_x(x, p: ParamSet):
     sequence, i.e. g''(x) = Gamma(x+1) (Gamma(x+1)^2+r^2)^(-mu-3)
     (1+r^2)^(mu+1) A(x) for g = `g_of_x`; Gamma(x+1)^4 times an O(1)
     bracket, so only the Gamma power is exponentiated."""
-    log_g, _, bracket, _ = _brackets(x, p)
+    log_g, bracket, _ = _brackets(x, p)
     return _signed_exp(4.0 * log_g, bracket)
 
 
@@ -198,7 +201,7 @@ def A_of_x(x, p: ParamSet):
 def A_tilde_of_x(x, p: ParamSet):
     """The two-term analogue of A(x) governing convexity of the
     unweighted factorial-family sequence."""
-    log_g, _, _, bracket = _brackets(x, p)
+    log_g, _, bracket = _brackets(x, p)
     return _signed_exp(4.0 * log_g, bracket)
 
 
@@ -207,17 +210,6 @@ def g_of_x(x, p: ParamSet):
     """g(x) = x Gamma(x+1) (1+r^2)^(mu+1) / (Gamma(x+1)^2+r^2)^(mu+1);
     interpolates the index-weighted factorial-family coefficients n C_n."""
     return _signed_exp(log_coeff_Q(*Q_parts(x), p.mu, p.r), x)
-
-
-@_elementwise
-def g_second_derivative(x, p: ParamSet):
-    """g''(x) from the prefactor of `A_of_x` and A's bracket, exponentiated
-    together (so g'' underflows to 0 where A alone would overflow);
-    cross-checked in tests against a finite difference of g."""
-    log_g, u, bracket, _ = _brackets(x, p)
-    log_pref = (5.0 * log_g - (p.mu + 3.0) * (2.0 * log_g + np.log1p(u))
-                + (p.mu + 1.0) * math.log1p(p.r ** 2))
-    return _signed_exp(log_pref, bracket)
 
 
 # --- inequality ledger ------------------------------------------------------

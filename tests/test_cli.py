@@ -428,6 +428,16 @@ class TestThresholdsAndSweep:
         [row] = json.loads(out)
         assert row["status"].startswith("error: mu ")
 
+    def test_mu_near_zero(self, capsys):
+        # (a - b)/2 once cancelled to 0.0 here, so the sequence matrix
+        # exited 2 with "r must be > 0, got 0.0"
+        code, out, _ = run(capsys, "thresholds", "--mu-grid", "1e-300",
+                           "--kinds", "F_Starlike,F_HalfPlaneDeriv")
+        assert code == 0 and out.count("'sufficient_r': 5.773502691896258e-151") == 2
+        code, out, _ = run(capsys, "theorems", "--mu-grid", "1e-300", "--level", "sequence")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 6 and all(line.startswith("PASS") for line in lines)
+
     def test_sweep_default_kinds_all(self, capsys):
         code, out, _ = run(capsys, "sweep", "--kinds", "all", "--mu-grid", "1",
                            "--format", "json")
@@ -692,6 +702,21 @@ class TestColdImport:
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
         assert not {m for m in imported if m.split(".")[0] == "scipy"}
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes one line and closes the pipe: print once ended in a
+    # BrokenPipeError traceback, then "Exception ignored" at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(mathieu_geom.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "mathieu_geom.cli", "coeffs", "--family", "F", "--mu", "1",
+            "--r", "1", "--n", "200000", "--format", "json"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert code == 141
 
 
 @pytest.mark.parametrize("path", sorted(Path(mathieu_geom.__file__).parent.glob("*.py")),

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mathieu_geom import criteria
 from mathieu_geom.criteria import (
     CRITERIA,
+    CriterionReport,
     Status,
     Witness,
     _chain_scan,
@@ -25,14 +27,17 @@ from mathieu_geom.criteria import (
 from mathieu_geom.diskcheck import DiskGrid, Functional, verify_functional
 from mathieu_geom.params import (
     NormalizationError,
+    NumericError,
     ParameterDomainError,
     ParamSet,
+    TruncationError,
     comparison_slack,
 )
 from mathieu_geom.series import (
     CoefficientSeq,
     Family,
     FunctionSequence,
+    eval_series,
     prefix_arrays,
 )
 
@@ -89,8 +94,9 @@ class TestOzaki:
             check_ozaki(FunctionSequence(lambda n: 2.0 / n))
 
     def test_nan_first_coefficient_is_not_normalized(self):
-        # abs(nan - 1) > 1e-12 is False, which once let NaN coefficients verify
-        with pytest.raises(NormalizationError):
+        # abs(nan - 1) > 1e-12 is False, which once let NaN coefficients
+        # verify; a NaN a_1 now fails where it is read
+        with pytest.raises(NumericError, match="a_1 is nan"):
             check_ozaki(FunctionSequence(lambda n: np.full(n.shape, np.nan)))
 
     def test_terms_validation(self):
@@ -345,37 +351,19 @@ class TestSlackAndBernoulli:
 
 
 # The two per-orientation chain loops that _chain_scan replaced, kept
-# as oracles over values.
+# as oracles over values, with its rule that a comparison that is not
+# true fails: the first NaN margin is the witness, and a -inf margin is
+# past any slack (inf - x has slack inf).
 def _chain_nonincreasing(vals):
-    min_margin = math.inf
-    witness = None
-    worst = 0.0
-    for k in range(len(vals) - 1):
-        lhs, rhs = float(vals[k]), float(vals[k + 1])
-        margin = lhs - rhs
-        min_margin = min(min_margin, margin)
-        if margin < -comparison_slack(lhs, rhs) and margin < worst:
-            worst = margin
-            witness = Witness(k + 1, lhs, rhs)
-    return min_margin, witness
+    return _scan_loop([(float(vals[k]), float(vals[k + 1])) for k in range(len(vals) - 1)])
 
 
 def _chain_nondecreasing(vals):
-    min_margin = math.inf
-    witness = None
-    worst = 0.0
-    for k in range(len(vals) - 1):
-        lhs, rhs = float(vals[k + 1]), float(vals[k])
-        margin = lhs - rhs
-        min_margin = min(min_margin, margin)
-        if margin < -comparison_slack(lhs, rhs) and margin < worst:
-            worst = margin
-            witness = Witness(k + 1, lhs, rhs)
-    return min_margin, witness
+    return _scan_loop([(float(vals[k + 1]), float(vals[k])) for k in range(len(vals) - 1)])
 
 
 # Few distinct values so that ties are common, values far below the slack
-# (subnormals and 0 too) and inf (whose margins are NaN).
+# (subnormals and 0 too) and inf (whose margins are -inf, inf or NaN).
 _VALUES = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-13, 1.0 - 1e-13, 2.0, 1e-290, 1e-300, math.inf]),
     st.floats(-3.0, 3.0),
@@ -384,7 +372,7 @@ _VALUES = st.one_of(
 
 
 class TestChainScan:
-    # inf - inf in the margins warns; the loops ignored those NaNs silently
+    # inf - inf in the margins warns, where the loops make NaNs silently
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=400)
     @given(vals=st.lists(_VALUES, min_size=2, max_size=30))
@@ -406,18 +394,24 @@ def _scan_loop(pairs, first=1):
     min_margin, witness, worst = math.inf, None, 0.0
     for k, (lhs, rhs) in enumerate(pairs):
         margin = lhs - rhs
+        if math.isnan(margin):
+            return margin, Witness(first + k, lhs, rhs)
         min_margin = min(min_margin, margin)
-        if margin < -comparison_slack(lhs, rhs) and margin < worst:
+        past = margin < -comparison_slack(lhs, rhs) or margin == -math.inf
+        if past and margin < worst:
             worst, witness = margin, Witness(first + k, lhs, rhs)
     return min_margin, witness
 
 
 def _combined(scans):
     """(status, witness, min_margin): the first failing condition names the
-    witness, the margin is the least of all."""
+    witness, the margin is the least of all (NaN where only NaN fails)."""
     witness = next((w for _, w in scans if w), None)
     status = Status.VERIFIED if witness is None else Status.FALSIFIED
-    return status, witness, min(m for m, _ in scans)
+    least = min(m for m, _ in scans)
+    if witness is not None and not any(m < 0.0 for m, _ in scans):
+        return status, witness, math.nan
+    return status, witness, least
 
 
 def _ozaki_loop(a):
@@ -540,3 +534,93 @@ def test_slack_applied_only_in_chain_scan():
             and ("comparison_slack" == getattr(node, "id", None)
                  or "comparison_slack" == getattr(node, "attr", None))]
     assert uses == []
+
+
+# --- non-finite numbers never verify ----------------------------------------
+
+_DISK = DiskGrid(4, 64, 0.5)
+
+
+def _assert_invariants(rep):
+    """A Verified report has a finite min_margin, a Falsified one a
+    witness, and a Holds report a finite lower_bound above its bound."""
+    if isinstance(rep, CriterionReport):
+        assert rep.status is not Status.VERIFIED or math.isfinite(rep.min_margin)
+        assert rep.status is not Status.FALSIFIED or rep.witness is not None
+    else:
+        assert not rep.holds or (math.isfinite(rep.lower_bound) and rep.lower_bound > rep.bound)
+
+
+class TestNonFiniteNumbers:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), bad_n=st.integers(1, 300),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_coefficient_raises_naming_n(self, seed, bad_n, bad):
+        # a_1 = 1, a_n = n u_n with u_n in [1, 2) up to n = 300 and a_n = n
+        # past it: a_2 > a_1, so no series cut ends at the first block end
+        # (n = 256) and every read reaches n = 300
+        head = np.arange(1, 301) * np.random.default_rng(seed).uniform(1.0, 2.0, 300)
+        head[0], head[bad_n - 1] = 1.0, bad
+        seq = FunctionSequence(lambda n: np.where(n <= 300, head[np.minimum(n, 300).astype(int) - 1], n))
+        named = re.escape(f"a_{bad_n} is {bad}")
+        for name, check in CRITERIA.items():
+            with pytest.raises(NumericError, match=named):
+                check(seq, 300)
+        for functional in Functional:
+            with pytest.raises(NumericError, match=named):
+                verify_functional(functional, seq, grid=_DISK)
+        with pytest.raises(NumericError, match=named):
+            eval_series(seq, 0.5)
+
+    # n a_n = inf from finite a_n, so the scans see inf and inf - inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fn", [
+        pytest.param(lambda n: np.where(n == 2, 1e308, 1.0 / n**3), id="a2-1e308"),
+        pytest.param(lambda n: np.where(n == 1, 1.0, 1e308), id="constant-1e308")])
+    def test_overflowing_weights_never_verify(self, fn):
+        seq = FunctionSequence(fn)
+        reports = {name: check(seq, 50) for name, check in CRITERIA.items()}
+        for rep in reports.values():
+            assert rep.status is not Status.VERIFIED
+            _assert_invariants(rep)
+        for name in ("ozaki", "fejer-starlike"):
+            assert reports[name].status is Status.FALSIFIED and reports[name].witness is not None
+        for functional in Functional:
+            try:
+                rep = verify_functional(functional, seq, grid=_DISK)
+            except TruncationError:
+                continue
+            assert not rep.holds
+            _assert_invariants(rep)
+        assert math.isfinite(eval_series(seq, 0.5).value.real)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_report_failing_on_nan_alone_reads_nan(self):
+        # n a_n = (1, inf, inf, ...): v >= 0 holds, and inf >= inf is a NaN margin
+        seq = FunctionSequence(lambda n: np.where(n == 1, 1.0, 1e308))
+        rep = check_fejer_halfplane(seq, 50, index_weighted=True)
+        assert rep.status is Status.FALSIFIED and math.isnan(rep.min_margin)
+        assert rep.witness == Witness(2, math.inf, math.inf)
+
+    def test_nan_margin_is_the_first_witness(self):
+        v = np.array([1.0, 2.0, math.inf, math.inf, 0.5])
+        with np.errstate(invalid="ignore"):
+            margin, witness = _chain_scan(v[:-1], v[1:])
+        assert math.isnan(margin) and witness == Witness(3, math.inf, math.inf)
+
+    def test_minus_inf_margin_is_past_an_infinite_slack(self):
+        margin, witness = _chain_scan(np.array([1.0, 0.5]), np.array([0.5, math.inf]))
+        assert margin == -math.inf and witness == Witness(2, 0.5, math.inf)
+
+    @pytest.mark.parametrize("seq", [
+        pytest.param(seq_F(1.0, 0.8), id="F-1-0.8"), pytest.param(seq_F(1.0, 3.0), id="F-1-3"),
+        pytest.param(seq_F(0.25, 1.0), id="F-0.25-1"), pytest.param(seq_Q(2.0, 1.0), id="Q-2-1"),
+        pytest.param(seq_Q(1.0, 3.0), id="Q-1-3"), pytest.param(CoefficientSeq(Family.SHAT), id="SHat"),
+        pytest.param(CoefficientSeq(Family.DOUBLE_FACTORIAL), id="DoubleFactorial")])
+    def test_family_reports_keep_the_invariants(self, seq):
+        for check in CRITERIA.values():
+            _assert_invariants(check(seq, 200))
+        for functional in Functional:
+            _assert_invariants(verify_functional(functional, seq, grid=DiskGrid(4, 64, 0.9)))
